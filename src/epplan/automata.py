@@ -1023,7 +1023,15 @@ def automaton_to_json(a: Automaton) -> dict:
     }
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` when it decoded from a JSON object; InputError otherwise."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def automaton_from_json(obj: dict) -> Automaton:
+    json_object(obj, "an automaton")
     try:
         alphabet = Alphabet(tuple(obj["alphabet"]))
         return Automaton(
@@ -1038,6 +1046,8 @@ def automaton_from_json(obj: dict) -> Automaton:
         )
     except KeyError as missing:
         raise InputError(f"automaton object lacks field {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise InputError(f"malformed automaton object: {err}") from None
 
 
 def automaton_or_regex(value, alphabet: Alphabet) -> Automaton:

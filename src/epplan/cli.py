@@ -156,6 +156,7 @@ class TmDescription:
 
 
 def tm_from_json(obj: dict) -> TmDescription:
+    fa.json_object(obj, "a machine")
     try:
         delta = {}
         for key, value in obj.get("delta", {}).items():

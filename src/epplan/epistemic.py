@@ -455,7 +455,13 @@ def _access_to_json(access: dict[str, frozenset[tuple[str, str]]]) -> dict:
 
 
 def _access_from_json(obj: dict) -> dict[str, frozenset[tuple[str, str]]]:
-    return {agent: frozenset((p[0], p[1]) for p in pairs) for agent, pairs in obj.items()}
+    access = {}
+    for agent, pairs in fa.json_object(obj, "an access map").items():
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise InputError(f"access of {agent!r} must be a list of [from, to] pairs")
+        access[agent] = frozenset((p[0], p[1]) for p in pairs)
+    return access
 
 
 def model_to_json(model: EpistemicModel) -> dict:
@@ -477,9 +483,11 @@ def model_to_json(model: EpistemicModel) -> dict:
 
 
 def model_from_json(obj: dict) -> EpistemicModel:
+    fa.json_object(obj, "a model")
     try:
         alphabet = fa.Alphabet(tuple(obj["alphabet"]))
-        signature = Signature(tuple((n, int(k)) for n, k in obj["signature"].items()))
+        signature = Signature(tuple(
+            (n, int(k)) for n, k in fa.json_object(obj["signature"], "a signature").items()))
         model = EpistemicModel(
             agents=tuple(obj["agents"]),
             worlds=tuple(obj["worlds"]),
@@ -490,13 +498,16 @@ def model_from_json(obj: dict) -> EpistemicModel:
             interpretations={
                 w: {
                     name: fa.automaton_or_regex(value, alphabet)
-                    for name, value in interp.items()
+                    for name, value in fa.json_object(interp, "an interpretation").items()
                 }
-                for w, interp in obj["interpretations"].items()
+                for w, interp in fa.json_object(obj["interpretations"],
+                                                "the interpretations").items()
             },
         )
     except KeyError as missing:
         raise InputError(f"model object lacks field {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise InputError(f"malformed model object: {err}") from None
     return model
 
 
@@ -534,25 +545,31 @@ def action_to_json(action: ActionModel) -> dict:
 
 
 def action_from_json(obj: dict, signature: Signature, alphabet: fa.Alphabet) -> ActionModel:
+    fa.json_object(obj, "an action")
     try:
         events = tuple(obj["events"])
         access = _access_from_json(obj.get("access", {}))
         pre = {
-            e: parse_formula(text, signature) for e, text in obj.get("pre", {}).items()
+            e: parse_formula(text, signature)
+            for e, text in fa.json_object(obj.get("pre", {}), "pre").items()
         }
         post = {
-            e: {p: parse_formula(text, signature) for p, text in table.items()}
-            for e, table in obj.get("post", {}).items()
+            e: {p: parse_formula(text, signature)
+                for p, text in fa.json_object(table, "a post table").items()}
+            for e, table in fa.json_object(obj.get("post", {}), "post").items()
         }
         native = {}
-        for e, table in obj.get("native", {}).items():
+        for e, table in fa.json_object(obj.get("native", {}), "native").items():
             native[e] = {}
-            for p, entry in table.items():
+            for p, entry in fa.json_object(table, "a native table").items():
+                fa.json_object(entry, "a native rewrite")
                 generator = fa.automaton_or_regex(entry["with"], alphabet)
                 source = entry["with"] if isinstance(entry["with"], str) else None
                 native[e][p] = NativeTransformer(entry["op"], generator, source)
     except KeyError as missing:
         raise InputError(f"action object lacks field {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise InputError(f"malformed action object: {err}") from None
     action = ActionModel(events=events, access=access, pre=pre, post=post, native=native)
     action.check_against(signature)
     return action

@@ -144,6 +144,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Parsing refuses formulas nested deeper than this.  The parser and every
+# later pass over a formula recurse once per level, so a bound here keeps
+# them all clear of Python's recursion limit.
+MAX_NESTING = 100
+
+
+def _height(node: Formula) -> int:
+    """How deeply operators nest in a formula, found without recursion."""
+    height, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(node, Not):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, (Forall, Exists, Know)):
+            stack.append((node.body, depth + 1))
+    return height
+
+
 class _FormulaParser:
     """Precedence climbing: ! binds tightest, then &, |, ->, <->.
 
@@ -154,6 +175,18 @@ class _FormulaParser:
         self.tokens = tokens
         self.pos = 0
         self.signature = signature
+        self.depth = 0
+
+    def nested(self, parse) -> Formula:
+        """Run ``parse`` for a subformula one level deeper."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
+                             tok[2] if tok else None)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -170,20 +203,23 @@ class _FormulaParser:
         node = self.iff()
         if self.peek() is not None:
             raise ParseError("unexpected trailing input", self.peek()[2])
+        # chains of & and | parse in a loop but still nest to the left
+        if _height(node) > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels")
         return node
 
     def iff(self) -> Formula:
         left = self.implies()
         if self.peek() and self.peek()[0] == "<->":
             self.pos += 1
-            return Iff(left, self.iff())
+            return Iff(left, self.nested(self.iff))
         return left
 
     def implies(self) -> Formula:
         left = self.or_()
         if self.peek() and self.peek()[0] == "->":
             self.pos += 1
-            return Implies(left, self.implies())
+            return Implies(left, self.nested(self.implies))
         return left
 
     def or_(self) -> Formula:
@@ -207,19 +243,19 @@ class _FormulaParser:
         kind, value, at = tok
         if kind == "!":
             self.pos += 1
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if kind == "name" and value in ("forall", "exists"):
             self.pos += 1
             var = self.take("name")[1]
             self.take(".")
-            body = self.iff()  # scope extends maximally rightward
+            body = self.nested(self.iff)  # scope extends maximally rightward
             return Forall(var, body) if value == "forall" else Exists(var, body)
         if kind == "name" and value == "K":
             self.pos += 1
             self.take("[")
             agent = self.take("name")[1]
             self.take("]")
-            return Know(agent, self.iff())
+            return Know(agent, self.nested(self.iff))
         return self.primary()
 
     def primary(self) -> Formula:
@@ -229,7 +265,7 @@ class _FormulaParser:
         kind, value, at = tok
         if kind == "(":
             self.pos += 1
-            inner = self.iff()
+            inner = self.nested(self.iff)
             self.take(")")
             return inner
         if kind != "name":

@@ -4,9 +4,13 @@ A history is a start world followed by events whose preconditions all
 held along the way.  Interpretations evolve deterministically with the
 events, so histories fall into finitely many interpretation classes
 whenever the postconditions are quantifier-free.  The class automaton
-reads a history and lands in its class; from it the set of histories
-becomes an automatic presentation, goals compile to automata via the
-standard translation, and planning reduces to emptiness.
+reads a history and lands in its class.  A non-modal goal sees only a
+history's own interpretation, so its solutions are the histories whose
+class satisfies it: one sentence check per class, then the class
+automaton with those classes accepting.  Modal goals also see the
+indistinguishable histories; for them the set of histories becomes an
+automatic presentation, the goal compiles to an automaton via the
+standard translation, and planning reduces to emptiness either way.
 
 For goals or actions outside that fragment, ``bfs_plan`` searches the
 history tree level by level instead: sound, never claiming "no".
@@ -220,10 +224,22 @@ class HistoryPresentation:
     """
 
     presentation: AutomaticPresentation
-    quotient: QuotientResult
     alphabet: fa.Alphabet
     world_letters: tuple[str, ...]
     event_letters: tuple[str, ...]
+
+
+def _closed_quotient(model: EpistemicModel, action: ActionModel, cap: int,
+                     quotient: QuotientResult | None) -> QuotientResult:
+    """The given quotient, or a fresh one; either must have closed under the cap."""
+    if quotient is None:
+        quotient = class_quotient(model, action, cap=cap)
+    if quotient.cap_exceeded:
+        raise ResourceLimitError(
+            f"interpretation classes exceeded the cap ({cap}); "
+            "the history structure is not finitely presented this way"
+        )
+    return quotient
 
 
 def _combined_alphabet(model: EpistemicModel, action: ActionModel) -> fa.Alphabet:
@@ -243,12 +259,7 @@ def history_presentation(model: EpistemicModel, action: ActionModel,
     Raises ResourceLimitError when the quotient did not close under the
     cap, since only a finite quotient yields finite automata.
     """
-    quotient = quotient or class_quotient(model, action, cap=cap)
-    if quotient.cap_exceeded:
-        raise ResourceLimitError(
-            f"interpretation classes exceeded the cap ({cap}); "
-            "the history structure is not finitely presented this way"
-        )
+    quotient = _closed_quotient(model, action, cap, quotient)
     big = _combined_alphabet(model, action)
     hist_sig = history_signature(model.signature, model.agents, model.worlds)
     ca = quotient.automaton
@@ -370,7 +381,7 @@ def history_presentation(model: EpistemicModel, action: ActionModel,
     )
 
     pres = AutomaticPresentation(hist_sig, big, universe(), relations)
-    return HistoryPresentation(pres, quotient, big, model.worlds, action.events)
+    return HistoryPresentation(pres, big, model.worlds, action.events)
 
 
 def _history_letters_only(a: fa.Automaton, letters: tuple[str, ...]) -> fa.Automaton:
@@ -385,21 +396,42 @@ def _history_letters_only(a: fa.Automaton, letters: tuple[str, ...]) -> fa.Autom
                         t.accepting, t.transitions, t.deterministic)
 
 
+def _class_satisfies(model: EpistemicModel, cls: InterpClass, goal: Formula) -> bool:
+    """Whether a non-modal sentence holds under the interpretation ``cls``,
+    which is its truth at every history of that class."""
+    pres = AutomaticPresentation(model.signature, model.alphabet,
+                                 model.domain, cls.as_interpretation())
+    return check_sentence(pres, goal)
+
+
 def solution_automaton(model: EpistemicModel, world: str, action: ActionModel,
                        goal: Formula, cap: int = DEFAULT_CLASS_CAP,
-                       presentation: HistoryPresentation | None = None) -> fa.Automaton:
+                       quotient: QuotientResult | None = None) -> fa.Automaton:
     """Automaton over world/event letters accepting exactly the histories
-    from ``world`` at which the goal holds."""
+    from ``world`` at which the goal holds.
+
+    A non-modal goal is checked once per interpretation class and the
+    class automaton accepts the good classes.  A modal goal compiles
+    over the history presentation.  Either way the quotient, given or
+    computed here, must close under ``cap``.
+    """
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
     validate_against(goal, model.signature)
     if free_variables(goal):
         raise InputError("a planning goal must be a closed formula")
-    hp = presentation or history_presentation(model, action, cap=cap)
+    quotient = _closed_quotient(model, action, cap, quotient)
+    letters = model.worlds + action.events
+    if not classify(goal).modal:
+        good = frozenset(cid for cid, cls in quotient.classes.items()
+                         if _class_satisfies(model, cls, goal))
+        return quotient.automaton.history_automaton(
+            fa.Alphabet(letters), start_world=world, final_ids=good)
+    hp = history_presentation(model, action, cap=cap, quotient=quotient)
     y = fresh_history_var(goal)
     query = And(standard_translation(goal, y), Atom(origin_name(world), (y,)))
     compiled = compile_formula(hp.presentation, query, (y,))
-    return _history_letters_only(compiled, model.worlds + action.events)
+    return _history_letters_only(compiled, letters)
 
 
 @dataclass
@@ -440,11 +472,11 @@ def decide_plan(model: EpistemicModel, world: str, action: ActionModel,
     """
     action.check_against(model.signature)
     _require_decidable_fragment(action)
-    hp = history_presentation(model, action, cap=cap)
-    sol = solution_automaton(model, world, action, goal, presentation=hp)
+    quotient = class_quotient(model, action, cap=cap)
+    sol = solution_automaton(model, world, action, goal, cap=cap, quotient=quotient)
     witness = fa.is_empty_witness(sol)
-    classes = len(hp.quotient.classes)
-    stats = dict(hp.quotient.stats)
+    classes = len(quotient.classes)
+    stats = dict(quotient.stats)
     stats["solution_states"] = sol.states
     if witness is None:
         return PlanResult("no", None, None, classes, stats)
@@ -481,17 +513,6 @@ def bfs_plan(model: EpistemicModel, world: str, action: ActionModel,
 def _bfs_classes(model: EpistemicModel, world: str, action: ActionModel,
                  goal: Formula, max_depth: int) -> PlanResult:
     cache = UpdateCache()
-    truth: dict[InterpClass, bool] = {}
-
-    def holds(cls: InterpClass) -> bool:
-        hit = truth.get(cls)
-        if hit is None:
-            pres = AutomaticPresentation(model.signature, model.alphabet,
-                                         model.domain, cls.as_interpretation())
-            hit = check_sentence(pres, goal)
-            truth[cls] = hit
-        return hit
-
     start = interp_class(model.signature, model.interpretations[world], cache)
     # pruning same-class histories keeps the first (length-lex least)
     # representative, so the first hit is still the minimal plan
@@ -499,7 +520,7 @@ def _bfs_classes(model: EpistemicModel, world: str, action: ActionModel,
     level: list[tuple[tuple[str, ...], InterpClass]] = [((), start)]
     for depth in range(max_depth + 1):
         for plan, cls in level:
-            if holds(cls):
+            if _class_satisfies(model, cls, goal):
                 return PlanResult("yes", plan, len(plan), len(seen),
                                   {"visited_classes": len(seen), "levels": depth})
         if depth == max_depth:

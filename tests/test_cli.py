@@ -1,9 +1,14 @@
 """End-to-end runs of the ``epp`` command line through ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import epplan
 import oracles as oc
 from epplan import automata as fa
 from epplan.cli import main, tm_to_json
@@ -99,6 +104,31 @@ def test_bad_json_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path), "--world", "u",
                        "--formula", "exists x. P(x)")
     assert code == 5 and "broken.json" in err
+
+
+def test_json_array_as_the_model_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path), "--world", "u",
+                       "--formula", "exists x. P(x)")
+    assert code == 5 and "JSON object" in err
+
+
+def test_non_integer_automaton_states_are_an_input_error(tmp_path, capsys):
+    obj = model_to_json(coin_model())
+    obj["domain"]["states"] = "x"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path), "--world", "u",
+                       "--formula", "exists x. P(x)")
+    assert code == 5 and "malformed automaton" in err
+
+
+def test_deeply_nested_goal_is_a_parse_error(coin_files, capsys):
+    model, action = coin_files
+    code, _, err = run(capsys, "plan", model, action, "--world", "u",
+                       "--goal", "!" * 3000 + "exists x. P(x)", "--decide")
+    assert code == 5 and "nests deeper" in err
 
 
 # --- update --------------------------------------------------------------------
@@ -265,3 +295,17 @@ def test_demo_tm_rejects_malformed_machines(tmp_path, capsys):
     machine.write_text(json.dumps({"states": ["q0"]}), encoding="utf-8")
     code, _, err = run(capsys, "demo", "tm", str(machine))
     assert code == 5 and "lacks field" in err
+
+
+# --- running as a module -----------------------------------------------------------
+
+def test_python_dash_m_epplan_runs_the_cli_without_warnings():
+    src = Path(epplan.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "epplan", "demo", "lang", "--generators", "a*,b*",
+         "--target", "a*·b"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["answer"] == "no"
+    assert done.stderr == ""

@@ -12,6 +12,7 @@ from epplan.logic import (
     Iff,
     Implies,
     Know,
+    MAX_NESTING,
     Not,
     Or,
     Signature,
@@ -88,6 +89,21 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_formula("P(x) & Z(x)", SIG)
     assert info.value.position == 7
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda body, n: "!" * n + body,
+    lambda body, n: "(" * n + body + ")" * n,
+    lambda body, n: "K[a] " * n + body,
+    lambda body, n: "P(x) -> " * n + body,
+    lambda body, n: body + " & P(x)" * n,
+    lambda body, n: body + " | P(x)" * n,
+])
+def test_nesting_is_bounded(wrap):
+    body = "exists x. P(x)"  # the binder is one level itself
+    assert parse_formula(wrap(body, MAX_NESTING - 1), SIG) is not None
+    with pytest.raises(ParseError):
+        parse_formula(wrap(body, MAX_NESTING), SIG)
 
 
 def test_round_trip_random_formulas():

@@ -10,7 +10,15 @@ from epplan.epistemic import (
     iterate_update,
 )
 from epplan.errors import FragmentError, InputError, ResourceLimitError
-from epplan.logic import Signature, parse_formula
+from epplan.logic import (
+    And,
+    Atom,
+    Signature,
+    fresh_history_var,
+    origin_name,
+    parse_formula,
+    standard_translation,
+)
 from epplan.planner import (
     ClassAutomaton,
     InterpClass,
@@ -21,7 +29,12 @@ from epplan.planner import (
     interp_class,
     solution_automaton,
 )
-from epplan.presentation import AutomaticPresentation, check_sentence, validate
+from epplan.presentation import (
+    AutomaticPresentation,
+    check_sentence,
+    compile_formula,
+    validate,
+)
 
 AB = fa.Alphabet(("a", "b"))
 SIG = Signature((("P", 1),))
@@ -345,6 +358,38 @@ def test_solution_automaton_matches_enumeration(flang, closure):
             if len(seq) <= 4}
     assert got == want
     assert min(got, key=lambda w: (len(w), w)) == ("s", "U0", "U1", "CP")
+
+
+def _compiled_solutions(model, world, action, goal):
+    """The solutions of ``goal`` compiled from its standard translation over
+    the history presentation, re-homed onto the world/event letters."""
+    hp = history_presentation(model, action)
+    y = fresh_history_var(goal)
+    query = And(standard_translation(goal, y), Atom(origin_name(world), (y,)))
+    compiled = fa.trim(compile_formula(hp.presentation, query, (y,)))
+    return fa.Automaton(1, fa.Alphabet(model.worlds + action.events), compiled.states,
+                        compiled.initial, compiled.accepting, compiled.transitions)
+
+
+def test_non_modal_solutions_match_the_compiled_standard_translation():
+    import random
+
+    from epplan.cli import build_language_demo
+
+    instances = [build_language_demo(["a*", "b*"], "(a|b)*·(a·b|b·a)·(a|b)*"),
+                 build_language_demo(["a·a*", "b*", "a·b"], "a·b")]
+    instances = [(model, model.worlds[0], action, goal)
+                 for model, action, goal in instances]
+    rng = random.Random(2205)
+    for _ in range(12):
+        model, _ = oc.random_kripke(rng, max_worlds=2)
+        action = oc.random_qf_action(rng, model.signature, model.alphabet)
+        goal = oc.random_foel(rng, model.signature, model.agents, modal_depth=0)
+        instances.append((model, rng.choice(model.worlds), action, goal))
+    for model, world, action, goal in instances:
+        fast = solution_automaton(model, world, action, goal)
+        slow = _compiled_solutions(model, world, action, goal)
+        assert fa.equivalent(fast, slow), (world, str(goal))
 
 
 def test_solution_automaton_alphabet_is_worlds_and_events(flang):
