@@ -19,7 +19,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InputError, ParseError, ResourceLimitError, TrackMismatchError
+from .errors import (
+    MAX_NESTING,
+    InputError,
+    ParseError,
+    ResourceLimitError,
+    TrackMismatchError,
+)
 
 PAD = "_"
 
@@ -175,17 +181,6 @@ def universal_words(alphabet: Alphabet) -> Automaton:
     """One-track automaton accepting every word."""
     edges = frozenset((0, (x,), 0) for x in alphabet.letters)
     return Automaton(1, alphabet, 1, frozenset({0}), frozenset({0}), edges, deterministic=True)
-
-
-def literal_word(alphabet: Alphabet, word: Word) -> Automaton:
-    """One-track automaton accepting exactly ``word``."""
-    edges = set()
-    for i, sym in enumerate(word):
-        if sym not in alphabet:
-            raise InputError(f"unknown letter {sym!r}")
-        edges.add((i, (sym,), i + 1))
-    n = len(word) + 1
-    return Automaton(1, alphabet, n, frozenset({0}), frozenset({n - 1}), frozenset(edges), True)
 
 
 @lru_cache(maxsize=None)
@@ -480,9 +475,9 @@ def complement(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
 _JOIN_DONE = -1  # a component whose tracks have all run out of letters
 
 
-def _track_join(alphabet: Alphabet, tracks: int,
-                components: list[tuple[Automaton, tuple[int, ...]]],
-                wild: tuple[int, ...] = ()) -> Automaton:
+def track_join(alphabet: Alphabet, tracks: int,
+               components: list[tuple[Automaton, tuple[int, ...]]],
+               wild: tuple[int, ...] = ()) -> Automaton:
     """Synchronous product of automata each reading its own 0-based track
     positions; ``wild`` positions range over every symbol.
 
@@ -577,7 +572,7 @@ def substitute_tracks(a: Automaton, sigma: tuple[int, ...], tracks: int,
         wild: tuple[int, ...] = ()
     else:
         wild = free
-    return _track_join(a.alphabet, tracks, components, wild)
+    return track_join(a.alphabet, tracks, components, wild)
 
 
 def cylindrify(a: Automaton, position: int, universe: Automaton | None = None) -> Automaton:
@@ -857,13 +852,17 @@ def _regex_tokens(pattern: str, alphabet: Alphabet):
 
 
 class _RegexParser:
-    """Recursive descent over |, concatenation (juxtaposition or ·), and *."""
+    """Recursive descent over |, concatenation (juxtaposition or ·), and *.
+
+    Only parentheses recurse, so their depth is bounded by ``MAX_NESTING``.
+    """
 
     def __init__(self, tokens, alphabet: Alphabet):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
         self.counter = itertools.count()
+        self.depth = 0  # open parentheses around the current position
         self.eps_edges: list[tuple[int, str | None, int]] = []
 
     def fresh(self) -> int:
@@ -946,8 +945,12 @@ class _RegexParser:
             self.pos += 1
             return self.fresh(), self.fresh()
         if (kind, value) == ("op", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"regex nests deeper than {MAX_NESTING} levels", at)
             self.pos += 1
+            self.depth += 1
             frag = self.alternation()
+            self.depth -= 1
             tok = self.peek()
             if not tok or tok[:2] != ("op", ")"):
                 raise ParseError("unbalanced parenthesis in regex", at)

@@ -415,16 +415,11 @@ def element_word(world_letter: str, value: fa.Word) -> fa.Word:
 
 def eval_on_presentation(pres: AutomaticPresentation, phi: Formula, hist_var: str,
                          bindings: dict[str, fa.Word]) -> bool:
-    """Check the translated formula with history and element variables pinned
-    to singleton languages."""
-    translated = standard_translation(phi, hist_var)
-    scope = (hist_var,) + tuple(v for v in free_variables(phi))
-    compiled = compile_formula(pres, translated, scope)
-    for index, var in enumerate(scope, start=1):
-        pin = fa.literal_word(pres.alphabet, bindings[var])
-        guard = fa.substitute_tracks(pin, (index,), len(scope), None)
-        compiled = fa.boolean_combine(compiled, guard, "and")
-    return not fa.is_empty(compiled)
+    """Compile the translated formula over the history variable and the
+    free variables, then test the bound tuple for membership."""
+    scope = (hist_var,) + free_variables(phi)
+    compiled = compile_formula(pres, standard_translation(phi, hist_var), scope)
+    return fa.accepts(compiled, tuple(bindings[v] for v in scope))
 
 
 def eval_foel(model: EpistemicModel, world: str, phi: Formula,

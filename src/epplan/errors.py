@@ -5,6 +5,11 @@ subclass one of the groups below rather than Exception directly.
 """
 from __future__ import annotations
 
+# Parsers refuse input nested deeper than this.  They, and every later
+# pass over what they build, recurse once per level, so a bound here keeps
+# them all clear of Python's recursion limit.
+MAX_NESTING = 100
+
 
 class EppError(Exception):
     """Base class for all errors raised by this package."""

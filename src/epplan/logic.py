@@ -10,7 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FragmentError, InputError, ParseError, VariableCaptureError
+from .errors import (
+    MAX_NESTING,
+    FragmentError,
+    InputError,
+    ParseError,
+    VariableCaptureError,
+)
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("name", m.group("name"), m.start("name")))
         pos = m.end()
     return tokens
-
-
-# Parsing refuses formulas nested deeper than this.  The parser and every
-# later pass over a formula recurse once per level, so a bound here keeps
-# them all clear of Python's recursion limit.
-MAX_NESTING = 100
 
 
 def _height(node: Formula) -> int:

@@ -13,7 +13,9 @@ automatic presentation, the goal compiles to an automaton via the
 standard translation, and planning reduces to emptiness either way.
 
 For goals or actions outside that fragment, ``bfs_plan`` searches the
-history tree level by level instead: sound, never claiming "no".
+history tree level by level instead: sound, never claiming "no".  A modal
+goal is compiled once per level, over that level's updated model with
+the history variable free, and each history is a membership test.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ from .epistemic import (
     UpdateCache,
     WORLD_SEP,
     apply_event,
-    eval_on_presentation,
     model_presentation,
 )
 
@@ -135,6 +136,19 @@ class ClassAutomaton:
                 return None
             current = nxt
         return current
+
+    def reachable(self, world: str) -> set[str]:
+        """Ids of the classes that some history from ``world`` lands in."""
+        seen = {self.initial[world]}
+        stack = list(seen)
+        while stack:
+            cid = stack.pop()
+            for event in self.events:
+                nxt = self.delta.get((cid, event))
+                if nxt is not None and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
     def history_automaton(self, alphabet: fa.Alphabet,
                           start_world: str | None = None,
@@ -410,10 +424,10 @@ def solution_automaton(model: EpistemicModel, world: str, action: ActionModel,
     """Automaton over world/event letters accepting exactly the histories
     from ``world`` at which the goal holds.
 
-    A non-modal goal is checked once per interpretation class and the
-    class automaton accepts the good classes.  A modal goal compiles
-    over the history presentation.  Either way the quotient, given or
-    computed here, must close under ``cap``.
+    A non-modal goal is checked once per interpretation class reachable
+    from ``world`` and the class automaton accepts the good classes.  A
+    modal goal compiles over the history presentation.  Either way the
+    quotient, given or computed here, must close under ``cap``.
     """
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
@@ -423,8 +437,8 @@ def solution_automaton(model: EpistemicModel, world: str, action: ActionModel,
     quotient = _closed_quotient(model, action, cap, quotient)
     letters = model.worlds + action.events
     if not classify(goal).modal:
-        good = frozenset(cid for cid, cls in quotient.classes.items()
-                         if _class_satisfies(model, cls, goal))
+        good = frozenset(cid for cid in quotient.automaton.reachable(world)
+                         if _class_satisfies(model, quotient.classes[cid], goal))
         return quotient.automaton.history_automaton(
             fa.Alphabet(letters), start_world=world, final_ids=good)
     hp = history_presentation(model, action, cap=cap, quotient=quotient)
@@ -494,8 +508,9 @@ def bfs_plan(model: EpistemicModel, world: str, action: ActionModel,
 
     Non-modal goals only see the history's own interpretation, so the
     walk runs on interpretation classes with one truth check per class.
-    Modal goals need the surrounding histories: those are evaluated on
-    the standard translation over each level's updated model.
+    Modal goals need the surrounding histories: the standard translation
+    compiles once per level over that level's updated model, and each
+    history of the level is tested for membership.
     """
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
@@ -553,10 +568,11 @@ def _bfs_modal(model: EpistemicModel, world: str, action: ActionModel,
     # joined strings, which would be ambiguous to split
     level: list[tuple[tuple[str, ...], str]] = [((), world)]
     visited = 1
+    translated = standard_translation(goal, y)
     for depth in range(max_depth + 1):
-        pres = model_presentation(current)
+        holds = compile_formula(model_presentation(current), translated, (y,))
         for plan, name in level:
-            if eval_on_presentation(pres, goal, y, {y: (name,)}):
+            if fa.accepts(holds, ((name,),)):
                 return PlanResult("yes", plan, len(plan), None,
                                   {"visited_histories": visited, "levels": depth})
         if depth == max_depth:

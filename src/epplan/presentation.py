@@ -107,7 +107,19 @@ def validate(pres: AutomaticPresentation) -> list[Diagnostic]:
 class _Compiler:
     """Compiles each subformula over its own free variables and lifts at
     the joins; the track count then follows the formula's width, not its
-    nesting depth, which is what keeps deeply nested binders affordable."""
+    nesting depth, which is what keeps deeply nested binders affordable.
+
+    Every compiled subformula accepts only tuples of domain words: atoms
+    do by the presentation contract that ``validate`` checks, and each
+    step below keeps it.  Two rewrites rest on this.  A conjunction over
+    different variables is one synchronous product of the two operands,
+    each reading its own tracks, with no lift to the domain power.  And
+    a complement against the domain power costs a determinization, so
+    negation is pushed inward first: ``¬¬φ`` is ``φ``, ``¬(a → b)`` is
+    ``a ∧ ¬b`` and ``¬(a ∨ b)`` is ``¬a ∧ ¬b``.  Through the double
+    negation of ``∀``, a guarded ``∀y. g → ψ`` thus compiles as
+    ``¬∃y. (g ∧ ¬ψ)``, complementing only ``ψ`` and the projection.
+    """
 
     def __init__(self, pres: AutomaticPresentation, canon_threshold: int, state_cap: int):
         self.pres = pres
@@ -151,7 +163,14 @@ class _Compiler:
             )
             return a, vars_
         if isinstance(node, Not):
-            a, vs = self.narrow(node.operand)
+            inner = node.operand
+            if isinstance(inner, Not):
+                return self.narrow(inner.operand)
+            if isinstance(inner, Implies):
+                return self.narrow(And(inner.left, Not(inner.right)))
+            if isinstance(inner, Or):
+                return self.narrow(And(Not(inner.left), Not(inner.right)))
+            a, vs = self.narrow(inner)
             out = self.shrink(
                 fa.boolean_combine(self.power(len(vs)), a, "minus",
                                    state_cap=self.state_cap)
@@ -161,11 +180,15 @@ class _Compiler:
             a, va = self.narrow(node.left)
             b, vb = self.narrow(node.right)
             vs = va + tuple(v for v in vb if v not in va)
-            op = "and" if isinstance(node, And) else "or"
-            out = self.shrink(
-                fa.boolean_combine(self.lift(a, va, vs), self.lift(b, vb, vs), op)
-            )
-            return out, vs
+            if isinstance(node, Or):
+                out = fa.boolean_combine(self.lift(a, va, vs), self.lift(b, vb, vs), "or")
+            elif va == vb:
+                out = fa.boolean_combine(a, b, "and")
+            else:
+                out = fa.track_join(self.pres.alphabet, len(vs),
+                                    [(a, tuple(range(len(va)))),
+                                     (b, tuple(vs.index(v) for v in vb))])
+            return self.shrink(out), vs
         if isinstance(node, Implies):
             return self.narrow(Or(Not(node.left), node.right))
         if isinstance(node, Iff):

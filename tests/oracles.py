@@ -321,36 +321,40 @@ def random_structure(rng, max_elements: int = 12, max_arity: int = 3):
     return pres, domain, explicit
 
 
+def random_formula(rng, signature: Signature, scope: tuple[str, ...],
+                   qr: int, fuel: int) -> Formula:
+    """A formula whose free variables lie in ``scope``, with quantifier
+    rank <= qr and at most ``fuel`` nested connectives."""
+    choices = ["quant"] if qr > 0 else []
+    if scope:
+        choices.append("atom")
+    if fuel > 0:
+        choices.extend(["not", "bin"])
+    choices.append("const")
+    kind = rng.choice(choices)
+    if kind == "quant":
+        var = f"v{len(scope)}"
+        body = random_formula(rng, signature, scope + (var,), qr - 1, fuel - 1)
+        return Forall(var, body) if rng.random() < 0.5 else Exists(var, body)
+    if kind == "atom":
+        name, arity = rng.choice(signature.predicates)
+        args = tuple(rng.choice(scope) for _ in range(arity))
+        return Atom(name, args)
+    if kind == "not":
+        return Not(random_formula(rng, signature, scope, qr, fuel - 1))
+    if kind == "bin":
+        cls = rng.choice([And, Or, Implies, Iff])
+        return cls(random_formula(rng, signature, scope, qr, fuel - 1),
+                   random_formula(rng, signature, scope, qr, fuel - 1))
+    from epplan.logic import FALSE, TRUE
+    return TRUE if rng.random() < 0.5 else FALSE
+
+
 def random_sentence(rng, signature: Signature, max_qr: int = 3) -> Formula:
     """A closed formula with quantifier rank <= max_qr."""
-
-    def go(scope: tuple[str, ...], qr: int, fuel: int) -> Formula:
-        choices = ["quant"] if qr > 0 else []
-        if scope:
-            choices.append("atom")
-        if fuel > 0:
-            choices.extend(["not", "bin"])
-        choices.append("const")
-        kind = rng.choice(choices)
-        if kind == "quant":
-            var = f"v{len(scope)}"
-            body = go(scope + (var,), qr - 1, fuel - 1)
-            return Forall(var, body) if rng.random() < 0.5 else Exists(var, body)
-        if kind == "atom":
-            name, arity = rng.choice(signature.predicates)
-            args = tuple(rng.choice(scope) for _ in range(arity))
-            return Atom(name, args)
-        if kind == "not":
-            return Not(go(scope, qr, fuel - 1))
-        if kind == "bin":
-            cls = rng.choice([And, Or, Implies, Iff])
-            return cls(go(scope, qr, fuel - 1), go(scope, qr, fuel - 1))
-        from epplan.logic import FALSE, TRUE
-        return TRUE if rng.random() < 0.5 else FALSE
-
     # force at least one quantifier so the sentence inspects the domain
     var = "v0"
-    body = go((var,), max_qr - 1, 5)
+    body = random_formula(rng, signature, (var,), max_qr - 1, 5)
     return Forall(var, body) if rng.random() < 0.5 else Exists(var, body)
 
 

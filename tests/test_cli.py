@@ -131,6 +131,13 @@ def test_deeply_nested_goal_is_a_parse_error(coin_files, capsys):
     assert code == 5 and "nests deeper" in err
 
 
+def test_deeply_nested_generator_regex_is_a_parse_error(capsys):
+    nested = "(" * 3000 + "a" + ")" * 3000
+    code, _, err = run(capsys, "demo", "lang", "--generators", f"{nested},b*",
+                       "--target", "a")
+    assert code == 5 and "nests deeper" in err
+
+
 # --- update --------------------------------------------------------------------
 
 def test_update_writes_step_files(coin_files, tmp_path, capsys):

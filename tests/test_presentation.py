@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import oracles as oc
 from epplan import automata as fa
 from epplan.errors import FragmentError, InfiniteDomainError, InputError
-from epplan.logic import Signature, parse_formula
+from epplan.logic import And, Atom, Forall, Implies, Not, Or, Signature, parse_formula
 from epplan.presentation import (
     AutomaticPresentation,
     brute_force_check,
@@ -160,6 +161,70 @@ def test_compile_agrees_with_brute_force_on_random_structures():
         pres, _, _ = oc.random_structure(rng, max_elements=8)
         phi = oc.random_sentence(rng, pres.signature)
         assert check_sentence(pres, phi) == brute_force_check(pres, phi)
+
+
+OPEN_VARS = ("x", "y", "z")
+
+
+def _open_side(rng, signature, scope):
+    """A random formula whose free variables occur first in ``scope`` order:
+    a chain of atoms, one per variable, leads, then random structure."""
+    lead = None
+    for var in scope:
+        name, arity = rng.choice(signature.predicates)
+        atom = Atom(name, (var,) * arity)
+        lead = atom if lead is None else rng.choice([And, Or])(lead, atom)
+    rest = oc.random_formula(rng, signature, scope, 1, 2)
+    return rest if lead is None else rng.choice([And, Or, Implies])(lead, rest)
+
+
+def _open_operands(rng, overlap):
+    """Variable tuples of two operands that are equal, disjoint (one may
+    be empty), overlapping, or the same variables in another order."""
+    if overlap == "equal":
+        vs = tuple(rng.sample(OPEN_VARS, rng.randint(1, 3)))
+        return vs, vs
+    if overlap == "disjoint":
+        vs = tuple(rng.sample(OPEN_VARS, rng.randint(1, 3)))
+        cut = rng.randint(1, len(vs))
+        return vs[:cut], vs[cut:]
+    if overlap == "overlapping":
+        vs = tuple(rng.sample(OPEN_VARS, rng.randint(2, 3)))
+        return vs[:2], vs[1:]
+    vs = tuple(rng.sample(OPEN_VARS, rng.randint(2, 3)))
+    return vs, vs[::-1]
+
+
+OPEN_SHAPES = {
+    "not-not": lambda a, b: Not(Not(And(a, b))),
+    "not-or": lambda a, b: Not(Or(a, b)),
+    "not-implies": lambda a, b: Not(Implies(a, b)),
+    "and": lambda a, b: And(a, b),
+}
+
+
+def test_compile_agrees_with_brute_force_on_open_formulas():
+    rng = random.Random(41)
+    shapes = sorted(OPEN_SHAPES)
+    overlaps = ("equal", "disjoint", "overlapping", "permuted")
+    for i in range(100):
+        pres, domain, _ = oc.random_structure(rng, max_elements=4)
+        sig = pres.signature
+        va, vb = _open_operands(rng, overlaps[i // len(shapes) % len(overlaps)])
+        phi = OPEN_SHAPES[shapes[i % len(shapes)]](
+            _open_side(rng, sig, va), _open_side(rng, sig, vb))
+        if rng.random() < 0.3:  # a guarded universal over one variable
+            var = rng.choice(va + vb)
+            guard = _open_side(rng, sig, (var,))
+            phi = Forall(var, Implies(guard, phi))
+        scope = list(dict.fromkeys(va + vb))
+        if len(scope) < 3 and rng.random() < 0.3:
+            scope.append(next(v for v in OPEN_VARS if v not in scope))
+        rng.shuffle(scope)
+        rel = compile_formula(pres, phi, tuple(scope))
+        for words in itertools.product(domain, repeat=len(scope)):
+            assert fa.accepts(rel, words) == brute_force_check(
+                pres, phi, dict(zip(scope, words))), (phi, scope, words)
 
 
 # --- enumeration --------------------------------------------------------------------
