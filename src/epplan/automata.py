@@ -241,29 +241,6 @@ def _pad_filter(a: Automaton) -> Automaton:
     return bld.build(start, accepting)
 
 
-def invalid_convolutions(alphabet: Alphabet, tracks: int) -> Automaton:
-    """Strings of k-track labels where some track resumes after padding.
-
-    Complements ``valid_convolutions`` at the raw string level; useful
-    only for diagnosing hand-built automata.
-    """
-    if tracks == 0:
-        return empty_automaton(alphabet, 0)
-    b = _Builder(alphabet, tracks)
-    START, BAD = "start", "bad"
-    labels = list(alphabet.tuples(tracks))
-    for label in labels:
-        b.edge(START, label, START)
-        b.edge(BAD, label, BAD)
-        for t in range(tracks):
-            if label[t] == PAD:
-                b.edge(START, label, ("saw", t))
-                b.edge(("saw", t), label, ("saw", t))
-            else:
-                b.edge(("saw", t), label, BAD)
-    return b.build([START], [BAD])
-
-
 def convolve(words: tuple[Word, ...]) -> list[Label]:
     length = max((len(w) for w in words), default=0)
     return [
@@ -625,21 +602,33 @@ def project(a: Automaton, position: int) -> Automaton:
     )
 
 
+def _label_ranks(a: Automaton) -> dict[Label, int]:
+    """Each distinct label's place in sort order, keying every label once."""
+    labels = {lab for _, lab, _ in a.transitions}
+    return {lab: i for i, lab in enumerate(sorted(labels, key=a.alphabet.label_key))}
+
+
+def _sorted_transitions(a: Automaton) -> list[Transition]:
+    """Transitions by source, label sort order, then target."""
+    rank = _label_ranks(a)
+    return sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
+
+
 def canonicalize(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Minimal trim DFA of the accepted tuple set, BFS-numbered.
 
-    Missing transitions mean rejection; the sink is implicit and never
-    stored, so the label space is not enumerated.  Equal relations yield
+    Minimization is Hopcroft partition refinement, O(m log n) in the m
+    edges and n live states of the determinized automaton.  Missing
+    transitions mean rejection; the sink is implicit and never stored,
+    so the label space is not enumerated.  Equal relations yield
     structurally identical results, so canonical forms can be compared
     or hashed directly.
     """
     det = determinize(
         _pad_filter(a), state_cap=state_cap
     )
-    rows: dict[int, dict[Label, int]] = {q: {} for q in range(det.states)}
     bwd: dict[int, set[int]] = {}
-    for s, lab, d in det.transitions:
-        rows[s][lab] = d
+    for s, _, d in det.transitions:
         bwd.setdefault(d, set()).add(s)
 
     # every determinized state is reachable, so live = co-reachable
@@ -655,59 +644,73 @@ def canonicalize(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
         return Automaton(a.tracks, a.alphabet, 1, frozenset({0}), frozenset(),
                          frozenset(), deterministic=True)
 
-    key = a.alphabet.label_key
-    lrows = {
-        q: {lab: d for lab, d in rows[q].items() if d in live} for q in live
-    }
+    rank = _label_ranks(det)
+    rows: dict[int, list[tuple[int, Label, int]]] = {q: [] for q in live}
+    inv: dict[int, list[tuple[int, int]]] = {q: [] for q in live}
+    for s, lab, d in det.transitions:
+        if s in live and d in live:
+            rows[s].append((rank[lab], lab, d))
+            inv[d].append((rank[lab], s))
 
-    # Moore refinement; absent labels all go to the implicit dead block,
-    # which no live state can join, so present-label signatures suffice
-    part = {q: (1 if q in det.accepting else 0) for q in live}
-    blocks = len(set(part.values()))
-    while True:
-        sigs: dict = {}
-        new = {}
-        for q in sorted(live):
-            sig = (part[q],
-                   tuple(sorted((key(lab), part[d]) for lab, d in lrows[q].items())))
-            new[q] = sigs.setdefault(sig, len(sigs))
-        part = new
-        if len(sigs) == blocks:
-            break
-        blocks = len(sigs)
+    # Hopcroft refinement.  Edges into dead states lead to the implicit
+    # sink block, which is never split and never a splitter; so, unlike
+    # the total-DFA variant, both initial blocks start as splitters.
+    blocks = [blk for blk in (live & det.accepting, live - det.accepting) if blk]
+    part = {q: i for i, blk in enumerate(blocks) for q in blk}
+    pending = list(range(len(blocks)))
+    waiting = set(pending)
+    while pending:
+        splitter = pending.pop()
+        waiting.discard(splitter)
+        preds: dict[int, list[int]] = {}
+        for q in blocks[splitter]:
+            for lab, p in inv[q]:
+                preds.setdefault(lab, []).append(p)
+        for sources in preds.values():
+            hit: dict[int, list[int]] = {}
+            for p in sources:
+                hit.setdefault(part[p], []).append(p)
+            for b, moved in hit.items():
+                if len(moved) == len(blocks[b]):
+                    continue
+                new = len(blocks)
+                blocks[b].difference_update(moved)
+                blocks.append(set(moved))
+                for p in moved:
+                    part[p] = new
+                # a waiting b now waits as both halves; once blocks are
+                # stable against the old b, stability against one half
+                # gives it against the other, so the smaller one will do
+                half = new if b in waiting or len(moved) < len(blocks[b]) else b
+                pending.append(half)
+                waiting.add(half)
 
     # BFS numbering from the initial block, labels in sort order
-    rep_rows: dict[int, list[tuple[tuple[int, ...], Label, int]]] = {}
-    for q in live:
-        if part[q] not in rep_rows:
-            rep_rows[part[q]] = sorted(
-                (key(lab), lab, part[d]) for lab, d in lrows[q].items()
-            )
     order = {part[start]: 0}
     queue = deque([part[start]])
     edges = set()
     while queue:
         blk = queue.popleft()
-        for _, lab, dblk in rep_rows[blk]:
+        for _, lab, d in sorted(rows[next(iter(blocks[blk]))]):
+            dblk = part[d]
             if dblk not in order:
                 order[dblk] = len(order)
                 queue.append(dblk)
             edges.add((order[blk], lab, order[dblk]))
-    accepting = frozenset(order[part[q]] for q in live if q in det.accepting)
+    accepting = frozenset(order[part[q]] for q in live & det.accepting)
     return Automaton(a.tracks, a.alphabet, len(order), frozenset({0}),
                      accepting, frozenset(edges), deterministic=True)
 
 
 def fingerprint(a: Automaton) -> tuple:
     """Hashable structural summary; canonical automata with equal languages collide."""
-    key = a.alphabet.label_key
     return (
         a.tracks,
         a.alphabet.letters,
         a.states,
         tuple(sorted(a.initial)),
         tuple(sorted(a.accepting)),
-        tuple(sorted(a.transitions, key=lambda t: (t[0], key(t[1]), t[2]))),
+        tuple(_sorted_transitions(a)),
     )
 
 
@@ -1012,17 +1015,13 @@ def regex_to_automaton(pattern: str, alphabet: Alphabet) -> Automaton:
 # --- JSON wire format -----------------------------------------------------
 
 def automaton_to_json(a: Automaton) -> dict:
-    key = a.alphabet.label_key
     return {
         "tracks": a.tracks,
         "alphabet": list(a.alphabet.letters),
         "states": a.states,
         "initial": sorted(a.initial),
         "accepting": sorted(a.accepting),
-        "transitions": [
-            [s, list(lab), d]
-            for s, lab, d in sorted(a.transitions, key=lambda t: (t[0], key(t[1]), t[2]))
-        ],
+        "transitions": [[s, list(lab), d] for s, lab, d in _sorted_transitions(a)],
     }
 
 

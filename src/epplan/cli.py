@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .logic import Formula, Signature, parse_formula, format_formula
-from .presentation import AutomaticPresentation, domain_power, validate
+from .presentation import AutomaticPresentation, domain_power
 from .epistemic import (
     ActionModel,
     EpistemicModel,

@@ -503,6 +503,10 @@ def model_from_json(obj: dict) -> EpistemicModel:
         raise InputError(f"model object lacks field {missing}") from None
     except (TypeError, ValueError) as err:
         raise InputError(f"malformed model object: {err}") from None
+    issues = model.validate()
+    if issues:
+        world, diag = issues[0]
+        raise InputError(f"invalid model at world {world!r}: {diag}")
     return model
 
 

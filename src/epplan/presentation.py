@@ -72,6 +72,13 @@ class Diagnostic:
     message: str
     witness: tuple | None = None
 
+    def __str__(self):
+        subject = "" if self.relation is None else f"predicate {self.relation!r} "
+        if self.witness is None:
+            return subject + self.message
+        words = ", ".join("·".join(w) or "ε" for w in self.witness)
+        return f"{subject}{self.message}, e.g. ({words})"
+
 
 def domain_power(domain: fa.Automaton, tracks: int) -> fa.Automaton:
     """All k-tuples of domain words, as a k-track automaton."""
@@ -94,9 +101,8 @@ def validate(pres: AutomaticPresentation) -> list[Diagnostic]:
             found.append(
                 Diagnostic(name, "accepts a tuple outside the domain", witness)
             )
-        stray = fa.trim(
-            fa.boolean_combine(rel, fa.invalid_convolutions(pres.alphabet, arity), "and")
-        )
+        # raw strings: is_empty would filter out exactly what is sought here
+        stray = fa.boolean_combine(rel, fa._pad_filter(rel), "minus")
         if stray.initial and stray.accepting:
             found.append(
                 Diagnostic(name, "accepts a string that is not a valid convolution")
@@ -343,4 +349,8 @@ def presentation_from_json(obj: dict) -> AutomaticPresentation:
         }
     except KeyError as missing:
         raise InputError(f"presentation object lacks field {missing}") from None
-    return AutomaticPresentation(signature, alphabet, domain, relations)
+    pres = AutomaticPresentation(signature, alphabet, domain, relations)
+    found = validate(pres)
+    if found:
+        raise InputError(f"invalid presentation: {found[0]}")
+    return pres

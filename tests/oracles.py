@@ -71,6 +71,111 @@ def finite_domain(alphabet: fa.Alphabet, words: list[Word]) -> fa.Automaton:
     return trie_relation(alphabet, 1, [(w,) for w in words])
 
 
+# --- canonical form, the slow way ----------------------------------------------
+
+def moore_canonicalize(a: fa.Automaton) -> fa.Automaton:
+    """Reference for ``automata.canonicalize``: the minimal trim DFA of the
+    valid convolutions ``a`` accepts, numbered breadth-first from the
+    initial state with each state's labels in sort order.
+
+    A subset construction over (state, tracks padded so far) pairs keeps
+    only valid convolutions.  Moore rounds then refine the live subsets by
+    their full edge signatures until the block count stops growing, one
+    round per extra word length needed to tell states apart.
+    """
+    out: dict[int, dict[tuple, set[int]]] = {}
+    for s, lab, d in a.transitions:
+        out.setdefault(s, {}).setdefault(lab, set()).add(d)
+    start = frozenset((q, frozenset()) for q in a.initial)
+    rows: dict[frozenset, dict[tuple, frozenset]] = {}
+    todo = [start]
+    while todo:
+        subset = todo.pop()
+        if subset in rows:
+            continue
+        row: dict[tuple, set] = {}
+        for q, padded in subset:
+            for lab, dsts in out.get(q, {}).items():
+                pads = frozenset(i for i, s in enumerate(lab) if s == fa.PAD)
+                if padded <= pads:  # a padded track may not resume
+                    row.setdefault(lab, set()).update((d, pads) for d in dsts)
+        rows[subset] = {lab: frozenset(nxt) for lab, nxt in row.items()}
+        todo.extend(rows[subset].values())
+    accepting = {sub for sub in rows if any(q in a.accepting for q, _ in sub)}
+
+    live = set(accepting)
+    grew = True
+    while grew:
+        grew = False
+        for sub, row in rows.items():
+            if sub not in live and any(d in live for d in row.values()):
+                live.add(sub)
+                grew = True
+    if start not in live:
+        return fa.Automaton(a.tracks, a.alphabet, 1, frozenset({0}), frozenset(),
+                            frozenset(), deterministic=True)
+
+    key = a.alphabet.label_key
+    lrows = {sub: {lab: d for lab, d in rows[sub].items() if d in live}
+             for sub in live}
+    part = {sub: int(sub in accepting) for sub in live}
+    blocks = len(set(part.values()))
+    while True:
+        sigs: dict = {}
+        new = {}
+        for sub in live:
+            sig = (part[sub],
+                   tuple(sorted((key(lab), part[d]) for lab, d in lrows[sub].items())))
+            new[sub] = sigs.setdefault(sig, len(sigs))
+        part = new
+        if len(sigs) == blocks:
+            break
+        blocks = len(sigs)
+
+    rep = {}
+    for sub in live:
+        rep.setdefault(part[sub], sub)
+    order = {part[start]: 0}
+    queue = [part[start]]
+    edges = set()
+    for blk in queue:  # grows while it is walked: breadth-first
+        for lab, d in sorted(lrows[rep[blk]].items(), key=lambda e: key(e[0])):
+            if part[d] not in order:
+                order[part[d]] = len(order)
+                queue.append(part[d])
+            edges.add((order[blk], lab, order[part[d]]))
+    return fa.Automaton(a.tracks, a.alphabet, len(order), frozenset({0}),
+                        frozenset(order[part[s]] for s in live & accepting),
+                        frozenset(edges), deterministic=True)
+
+
+def random_nfa(rng, tracks: int, max_states: int = 7) -> fa.Automaton:
+    """A random partial NFA over ``a``, ``b`` and the pad, with any number
+    of initial states; unreachable and dead states are left in."""
+    alphabet = fa.Alphabet(("a", "b"))
+    labels = [lab for lab in itertools.product(("a", "b", fa.PAD), repeat=tracks)
+              if any(s != fa.PAD for s in lab)]
+    n = rng.randint(1, max_states)
+    edges = {(rng.randrange(n), rng.choice(labels), rng.randrange(n))
+             for _ in range(rng.randint(0, 3 * n))}
+    return fa.Automaton(
+        tracks, alphabet, n,
+        frozenset(rng.sample(range(n), rng.randint(1, min(2, n)))),
+        frozenset(q for q in range(n) if rng.random() < 0.3),
+        frozenset(edges),
+    )
+
+
+def renumber_states(a: fa.Automaton, perm: list[int]) -> fa.Automaton:
+    """The same automaton with state ``q`` renamed ``perm[q]``."""
+    return fa.Automaton(
+        a.tracks, a.alphabet, a.states,
+        frozenset(perm[q] for q in a.initial),
+        frozenset(perm[q] for q in a.accepting),
+        frozenset((perm[s], lab, perm[d]) for s, lab, d in a.transitions),
+    )
+
+
 # --- naive semantics over explicit structures --------------------------------
 
 @dataclass

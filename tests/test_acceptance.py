@@ -243,3 +243,18 @@ def test_9_quotient_terminates_on_random_quantifier_free_actions():
     verdict("9 quotient termination", capped == 0,
             time.perf_counter() - started, 120.0,
             f"{runs} random quantifier-free actions, {capped} hit the cap")
+
+
+def test_10_canonicalize_refines_a_long_chain_quickly():
+    # one more round per state for Moore refinement; n log n for Hopcroft
+    n = 2000
+    chain = fa.Automaton(
+        1, fa.Alphabet(("a", "b")), n + 1, frozenset({0}), frozenset({n}),
+        frozenset({(i, ("a",), i + 1) for i in range(n)}
+                  | {(i, ("b",), i) for i in range(n + 1)}),
+    )
+    started = time.perf_counter()
+    canon = fa.canonicalize(chain)
+    verdict("10 canonical form of a 2001-state chain", canon.states == n + 1,
+            time.perf_counter() - started, 1.0,
+            f"{canon.states} states")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -66,16 +67,33 @@ def test_convolution_matches_reference(words):
     assert fa.deconvolve(fa.convolve(tup), len(tup)) == tup
 
 
-@given(pair_st)
-def test_valid_convolutions_accept_all_real_pairs(pair):
+# a raw 2-track string whose first track resumes after padding
+RESUMED = fa.Automaton(2, AB, 3, frozenset({0}), frozenset({2}),
+                       frozenset({(0, (fa.PAD, "a"), 1), (1, ("a", "a"), 2)}))
+
+
+def raw_empty(a: fa.Automaton) -> bool:
+    """No accepted label string at all, valid convolution or not."""
+    t = fa.trim(a)
+    return not (t.initial and t.accepting)
+
+
+@given(relation_st, pair_st)
+def test_valid_convolutions_accept_all_real_pairs(rel, pair):
     assert fa.accepts(fa.valid_convolutions(AB, 2), pair)
-    assert not fa.accepts(fa.invalid_convolutions(AB, 2), pair)
+    # _pad_filter(a) is a ∧ valid_convolutions, compared as raw strings
+    auto = fa.boolean_combine(oc.trie_relation(AB, 2, rel | {pair}), RESUMED, "or")
+    filtered = fa._pad_filter(auto)
+    meet = fa.boolean_combine(auto, fa.valid_convolutions(AB, 2), "and")
+    assert fa.accepts(filtered, pair)
+    assert fa.equivalent(filtered, meet)
+    assert raw_empty(fa.boolean_combine(filtered, meet, "minus"))
+    assert raw_empty(fa.boolean_combine(meet, filtered, "minus"))
 
 
-def test_valid_and_invalid_convolutions_are_disjoint():
-    both = fa.boolean_combine(fa.valid_convolutions(AB, 2),
-                              fa.invalid_convolutions(AB, 2), "and")
-    assert fa.is_empty(both)
+def test_pad_filter_rejects_a_resumed_pad_string():
+    assert not raw_empty(RESUMED)
+    assert raw_empty(fa._pad_filter(RESUMED))
 
 
 # --- membership and boolean algebra --------------------------------------------
@@ -159,6 +177,25 @@ def test_canonicalize_preserves_language(rel):
     assert fa.equivalent(auto, canon)
     # nothing below the count of pairwise-distinguishable live states
     assert canon.states <= max(fa.trim(fa.determinize(auto)).states, 1)
+
+
+def test_hopcroft_matches_moore_reference():
+    rng = random.Random(606)
+    seen = {"empty": 0, "epsilon": 0, "pad": 0, "dead": 0}
+    for case in range(240):
+        auto = oc.random_nfa(rng, tracks=1 + case % 3)
+        canon = fa.canonicalize(auto)
+        assert fa.fingerprint(canon) == fa.fingerprint(oc.moore_canonicalize(auto))
+        perm = list(range(auto.states))
+        rng.shuffle(perm)
+        assert (fa.fingerprint(fa.canonicalize(oc.renumber_states(auto, perm)))
+                == fa.fingerprint(canon))
+        seen["empty"] += not canon.accepting
+        seen["epsilon"] += 0 in canon.accepting
+        seen["pad"] += any(fa.PAD in lab for _, lab, _ in canon.transitions)
+        seen["dead"] += fa.trim(auto).states < auto.states
+    # every shape the refinement must handle occurs many times
+    assert min(seen.values()) >= 20, seen
 
 
 # --- track surgery ----------------------------------------------------------------

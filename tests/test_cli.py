@@ -124,6 +124,25 @@ def test_non_integer_automaton_states_are_an_input_error(tmp_path, capsys):
     assert code == 5 and "malformed automaton" in err
 
 
+def test_relation_outside_the_domain_is_an_input_error(tmp_path, capsys):
+    # unchecked, plan --decide said yes and check said false on this model
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "agents": ["i"], "worlds": ["w"], "access": {"i": [["w", "w"]]},
+        "signature": {"P": 1}, "alphabet": ["a", "b"], "domain": "a",
+        "interpretations": {"w": {"P": "b"}},
+    }), encoding="utf-8")
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"events": ["e"]}), encoding="utf-8")
+    for argv in (("plan", str(model), str(action), "--world", "w",
+                  "--goal", "exists x. P(x)", "--decide"),
+                 ("check", str(model), "--world", "w",
+                  "--formula", "exists x. P(x)")):
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out is None
+        assert "'P'" in err and "outside the domain" in err and "(b)" in err
+
+
 def test_deeply_nested_goal_is_a_parse_error(coin_files, capsys):
     model, action = coin_files
     code, _, err = run(capsys, "plan", model, action, "--world", "u",
