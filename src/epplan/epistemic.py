@@ -6,10 +6,18 @@ domain stays fixed, so an update only rewrites predicate automata.
 Postconditions are non-modal formulas over designated variables
 ``x1..xk``; concatenation-style rewrites that first-order posts cannot
 express are attached as native transformers per (event, predicate).
+
+One builder, ``history_structure``, presents the histories over any
+deterministic class map as automata.  ``model_presentation`` is its
+event-free case, each world its own class; ``planner.history_presentation``
+passes the class automaton.  Element tracks, ``ep^`` and ``dom^`` walk the
+minimal DFA of valid histories; the first track of a lifted predicate
+``P^`` walks the class map coarsened to the classes that agree on ``P``.
 """
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import automata as fa
@@ -293,119 +301,168 @@ def iterate_update(model: EpistemicModel, action: ActionModel, steps: int) -> Ep
     return current
 
 
-# --- histories of depth zero as an automatic presentation -------------------
+# --- the history structure as an automatic presentation -------------------
 
-def _letter_checks(model: EpistemicModel, letters: dict[str, str]):
-    values = list(letters.values())
-    if len(set(values)) != len(values):
-        raise InputError("world letters must be distinct")
-    for letter in values:
-        if letter in model.alphabet or letter == "#" or letter == fa.PAD:
-            raise InputError(
-                f"world letter {letter!r} clashes with the domain alphabet or a reserved symbol"
-            )
+_START = -1  # the walkers' state before the world letter
 
 
-def model_presentation(model: EpistemicModel,
-                       world_letters: dict[str, str] | None = None
-                       ) -> AutomaticPresentation:
-    """Present a model as the history structure of its bare worlds.
+def _blocks(classes, events: tuple[str, ...], delta: dict[tuple[str, str], str],
+            key) -> dict[str, int]:
+    """Coarsest partition of ``classes`` that separates classes of unequal
+    ``key`` and is stable under every event, a missing move counting as
+    its own outcome (Moore refinement).  Maps each class to a block id."""
+    block = {c: key(c) for c in classes}
+    count = len(set(block.values()))
+    while True:
+        ids: dict = {}
+        refined = {c: ids.setdefault(
+            (block[c],) + tuple(block.get(delta.get((c, e))) for e in events), len(ids))
+            for c in classes}
+        if len(ids) == count:
+            return refined
+        block, count = refined, len(ids)
 
-    Universe words are ``w`` for each world and ``w # d`` for each domain
-    word ``d``; every relation of the history signature is produced as an
-    explicit automaton.
+
+def _walker(initial: dict[str, str], delta: dict[tuple[str, str], str],
+            block: dict[str, int]) -> dict[int, dict[int, dict[str, None]]]:
+    """The class map read through ``block``: state -> next state -> the
+    letters that move there (an ordered set), from ``_START`` by world
+    letters, then by event letters."""
+    out: dict = {_START: {}}
+    for w, c in initial.items():
+        out[_START].setdefault(block[c], {})[w] = None
+    for (c, e), d in delta.items():
+        out.setdefault(block[c], {}).setdefault(block[d], {})[e] = None
+    return out
+
+
+def _spine(bld: fa._Builder, walkers: list, allowed=None) -> set:
+    """Edges reading one history per track, all of the same length, each
+    track on its own walker; ``allowed``, when given, filters the labels.
+    Returns the states reached after the start."""
+    start = (_START,) * len(walkers)
+    bld.state(start)
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        state = queue.popleft()
+        moves = [walker.get(q, {}).items() for walker, q in zip(walkers, state)]
+        for combo in itertools.product(*moves):
+            nxt, letters = zip(*combo)
+            labels = [label for label in itertools.product(*letters)
+                      if allowed is None or label in allowed]
+            for label in labels:
+                bld.edge(state, label, nxt)
+            if labels and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    seen.discard(start)
+    return seen
+
+
+def _tail(bld: fa._Builder, sources, prefix: tuple, rel: fa.Automaton, tag) -> list:
+    """Edges from each source into one copy of ``rel`` read behind the
+    separator, the spine tracks padded by ``prefix``; returns its
+    accepting states."""
+    for s in sources:
+        for i in rel.initial:
+            bld.edge(s, prefix + ("#",) * rel.tracks, (tag, i))
+    for s, lab, d in rel.transitions:
+        bld.edge((tag, s), prefix + lab, (tag, d))
+    return [(tag, q) for q in rel.accepting]
+
+
+def history_structure(model: EpistemicModel, events: tuple[str, ...],
+                      event_access: dict[str, frozenset[tuple[str, str]]],
+                      initial: dict[str, str], delta: dict[tuple[str, str], str],
+                      classes: dict[str, dict[str, fa.Automaton]]
+                      ) -> AutomaticPresentation:
+    """The history structure over a deterministic class map, as automata.
+
+    A history is a world letter followed by event letters.  ``initial``
+    gives each world's class, ``delta`` moves a class along an event (a
+    missing entry: the precondition fails there), and ``classes`` gives
+    each class's interpretation as canonical automata.  Universe words
+    are histories ``h`` and tagged elements ``h # u``; the alphabet lists
+    world letters, event letters, ``#``, then the domain letters.
+
+    Each track walks only what it needs to know.  Element tracks, the
+    ``ep^`` tracks and both ``dom^`` tracks only need to be histories,
+    so they walk the minimal DFA of valid histories, a single state after
+    the start when nothing is ever refused.  The first track of ``P^``
+    picks the interpretation, so it walks the class map coarsened to the
+    classes that agree on ``P`` now and after every event sequence.
+    Element tracks accept every equally long history's copy of a domain
+    word: without this, an element bound at one history would fail the
+    dom-guards after crossing a knowledge operator.
     """
-    letters = world_letters or {w: w for w in model.worlds}
-    if set(letters) != set(model.worlds):
-        raise InputError("world_letters must name every world exactly once")
-    _letter_checks(model, letters)
-
-    base = model.alphabet.letters
-    big = fa.Alphabet(tuple(letters[w] for w in model.worlds) + ("#",) + base)
+    letters = model.worlds + events + ("#",) + model.alphabet.letters
+    if len(set(letters)) != len(letters):
+        raise InputError("world, event, domain letters and '#' must all differ")
+    if fa.PAD in letters:
+        raise InputError(f"{fa.PAD!r} is reserved for padding")
+    big = fa.Alphabet(letters)
     hist_sig = history_signature(model.signature, model.agents, model.worlds)
-
-    def universe() -> fa.Automaton:
-        # one shared post-letter state: every world owns an identical copy
-        # of the domain, and products blow up if each world gets its own
-        bld = fa._Builder(big, 1)
-        ROOT, SEEN = "root", "seen"
-        for w in model.worlds:
-            bld.edge(ROOT, (letters[w],), SEEN)
-        for i in model.domain.initial:
-            bld.edge(SEEN, ("#",), ("d", i))
-        for s, lab, d in model.domain.transitions:
-            bld.edge(("d", s), lab, ("d", d))
-        accepting = [SEEN] + [("d", q) for q in model.domain.accepting]
-        return fa.trim(bld.build([ROOT], accepting))
-
+    valid = _walker(initial, delta, _blocks(classes, events, delta, lambda c: 0))
+    domain = model.domain
     relations: dict[str, fa.Automaton] = {}
 
-    # accessibility: one-letter pairs from the access relation
+    bld = fa._Builder(big, 1)
+    spine = _spine(bld, [valid])
+    accepting = list(spine) + _tail(bld, spine, (), domain, "d")
+    universe = fa.trim(bld.build([(_START,)], accepting))
+
+    # two histories an agent cannot tell apart: same length, pairwise
+    # related letters.  Here and for from^ every spine state accepts, so
+    # the result is already trim.
     for agent in model.agents:
         bld = fa._Builder(big, 2)
-        START, END = "s", "t"
-        bld.state(START)
-        for w, v in sorted(model.access.get(agent, frozenset())):
-            bld.edge(START, (letters[w], letters[v]), END)
-        relations[knows_name(agent)] = bld.build([START], [END])
+        pairs = model.access.get(agent, frozenset()) | event_access.get(agent, frozenset())
+        spine = _spine(bld, [valid, valid], allowed=pairs)
+        relations[knows_name(agent)] = bld.build([(_START,) * 2], spine)
 
-    # lifted predicates: (w, v1#u1, .., vk#uk) for tuples in w's relation.
-    # The element tracks accept every world's copy of a domain word; only
-    # the first track decides which interpretation is consulted.  Without
-    # this, an element bound at one world would fail the dom-guards after
-    # crossing a knowledge operator and make the translation vacuous.
-    # Worlds with language-equal interpretations share one tail copy.
-    world_letters = tuple(letters[w] for w in model.worlds)
+    # lifted predicates; spine states whose automata for this predicate
+    # coincide share one tail copy
     for name, arity in model.signature.predicates:
+        prints = {c: fa.fingerprint(interp[name]) for c, interp in classes.items()}
+        block = _blocks(classes, events, delta, prints.get)
+        member = {b: c for c, b in block.items()}  # one class of each block
         bld = fa._Builder(big, arity + 1)
-        START, TRUE0 = "s", "t"
-        bld.state(START)
-        accepting = []
-        groups: dict[tuple, int] = {}
-        for w in model.worlds:
-            rel = model.interpretations[w][name]
-            if arity == 0:
-                if not fa.is_empty(rel):
-                    bld.edge(START, (letters[w],), TRUE0)
-                    accepting.append(TRUE0)
-                continue
-            canon = fa.canonicalize(rel)
-            key = fa.fingerprint(canon)
-            fresh = key not in groups
-            gid = groups.setdefault(key, len(groups))
-            for combo in itertools.product(world_letters, repeat=arity):
-                bld.edge(START, (letters[w],) + combo, ("g", gid))
-            if fresh:
-                for i in canon.initial:
-                    bld.edge(("g", gid), (fa.PAD,) + ("#",) * arity, ("q", gid, i))
-                for s, lab, d in canon.transitions:
-                    bld.edge(("q", gid, s), (fa.PAD,) + lab, ("q", gid, d))
-                accepting.extend(("q", gid, q) for q in canon.accepting)
-        relations[hat_name(name)] = fa.trim(bld.build([START], accepting))
+        spine = _spine(bld, [_walker(initial, delta, block)] + [valid] * arity)
+        if arity == 0:
+            accepting = [s for s in spine if not fa.is_empty(classes[member[s[0]]][name])]
+        else:
+            groups: dict[tuple, list] = {}
+            for s in spine:
+                groups.setdefault(prints[member[s[0]]], []).append(s)
+            accepting = []
+            for gid, sources in enumerate(groups.values()):
+                rel = classes[member[sources[0][0]]][name]
+                accepting += _tail(bld, sources, (fa.PAD,), rel, ("p", gid))
+        relations[hat_name(name)] = fa.trim(bld.build([(_START,) * (arity + 1)], accepting))
 
-    # origin: exactly the one-letter word of each world
+    # origin: histories beginning at one world
     for w in model.worlds:
         bld = fa._Builder(big, 1)
-        bld.edge("s", (letters[w],), "t")
-        relations[origin_name(w)] = bld.build(["s"], ["t"])
+        spine = _spine(bld, [valid], allowed={(w,)} | {(e,) for e in events})
+        relations[origin_name(w)] = bld.build([(_START,)], spine)
 
-    # element-of: (w, v#u) for domain words u and any worlds w, v.  The
-    # domain is shared, so every copy of an element belongs to every
-    # world's structure; see the note on the lifted predicates above.
+    # element-of: (h, g#u) for same-length histories h, g
     bld = fa._Builder(big, 2)
-    START, SEEN = "s", "seen"
-    bld.state(START)
-    for w in model.worlds:
-        for v in model.worlds:
-            bld.edge(START, (letters[w], letters[v]), SEEN)
-    for i in model.domain.initial:
-        bld.edge(SEEN, (fa.PAD, "#"), ("q", i))
-    for s, lab, d in model.domain.transitions:
-        bld.edge(("q", s), (fa.PAD,) + lab, ("q", d))
-    accepting = [("q", q) for q in model.domain.accepting]
-    relations[DOM_NAME] = fa.trim(bld.build([START], accepting))
+    spine = _spine(bld, [valid, valid])
+    accepting = _tail(bld, spine, (fa.PAD,), domain, "d")
+    relations[DOM_NAME] = fa.trim(bld.build([(_START,) * 2], accepting))
 
-    return AutomaticPresentation(hist_sig, big, universe(), relations)
+    return AutomaticPresentation(hist_sig, big, universe, relations)
+
+
+def model_presentation(model: EpistemicModel) -> AutomaticPresentation:
+    """Present a model as the history structure of its bare worlds: each
+    world is its own class and there are no events."""
+    classes = {w: {name: fa.canonicalize(model.interpretations[w][name])
+                   for name, _ in model.signature.predicates}
+               for w in model.worlds}
+    return history_structure(model, (), {}, {w: w for w in model.worlds}, {}, classes)
 
 
 def element_word(world_letter: str, value: fa.Word) -> fa.Word:

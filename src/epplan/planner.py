@@ -11,6 +11,11 @@ automaton with those classes accepting.  Modal goals also see the
 indistinguishable histories; for them the set of histories becomes an
 automatic presentation, the goal compiles to an automaton via the
 standard translation, and planning reduces to emptiness either way.
+That presentation comes from the one history-structure builder,
+``epistemic.history_structure``, run over the class automaton: element
+tracks walk the minimal DFA of valid histories, and only the first track
+of a lifted predicate walks the classes, coarsened to those that agree
+on that predicate after every event sequence.
 
 For goals or actions outside that fragment, ``bfs_plan`` searches the
 history tree level by level instead: sound, never claiming "no".  A modal
@@ -20,7 +25,6 @@ the history variable free, and each history is a membership test.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -34,13 +38,9 @@ from .logic import (
     classify,
     free_variables,
     fresh_history_var,
-    hat_name,
-    history_signature,
-    knows_name,
     origin_name,
     standard_translation,
     validate_against,
-    DOM_NAME,
 )
 from .presentation import AutomaticPresentation, check_sentence, compile_formula
 from .epistemic import (
@@ -49,6 +49,7 @@ from .epistemic import (
     UpdateCache,
     WORLD_SEP,
     apply_event,
+    history_structure,
     model_presentation,
 )
 
@@ -230,17 +231,10 @@ def class_quotient(model: EpistemicModel, action: ActionModel,
 
 @dataclass
 class HistoryPresentation:
-    """The history structure of a model/action pair, as automata.
-
-    The combined alphabet lists world letters, then event letters, then
-    the copy marker ``#``, then the domain letters.  Universe words are
-    histories ``h`` and tagged elements ``h # u``.
-    """
+    """The history structure of a model/action pair, as automata (see
+    ``epistemic.history_structure``)."""
 
     presentation: AutomaticPresentation
-    alphabet: fa.Alphabet
-    world_letters: tuple[str, ...]
-    event_letters: tuple[str, ...]
 
 
 def _closed_quotient(model: EpistemicModel, action: ActionModel, cap: int,
@@ -256,146 +250,19 @@ def _closed_quotient(model: EpistemicModel, action: ActionModel, cap: int,
     return quotient
 
 
-def _combined_alphabet(model: EpistemicModel, action: ActionModel) -> fa.Alphabet:
-    letters = model.worlds + action.events + ("#",) + model.alphabet.letters
-    if len(set(letters)) != len(letters):
-        raise InputError("world, event, domain letters and '#' must all differ")
-    if fa.PAD in letters:
-        raise InputError(f"{fa.PAD!r} is reserved for padding")
-    return fa.Alphabet(letters)
-
-
 def history_presentation(model: EpistemicModel, action: ActionModel,
                          cap: int = DEFAULT_CLASS_CAP,
                          quotient: QuotientResult | None = None) -> HistoryPresentation:
-    """Automatic presentation of all histories and their tagged elements.
+    """Automatic presentation of all histories and their tagged elements,
+    built over the class automaton.
 
     Raises ResourceLimitError when the quotient did not close under the
     cap, since only a finite quotient yields finite automata.
     """
-    quotient = _closed_quotient(model, action, cap, quotient)
-    big = _combined_alphabet(model, action)
-    hist_sig = history_signature(model.signature, model.agents, model.worlds)
-    ca = quotient.automaton
-    START = "i"
-
-    def aligned_spine(bld: fa._Builder, width: int) -> set:
-        """Edges reading one history per track, all of the same length.
-
-        Each track walks the class automaton on its own; the element
-        tracks only need to name valid copies, while the first track's
-        class picks the interpretation.  Equal length keeps the element
-        payloads aligned behind the separator, which is what makes the
-        lifted relations regular, and knowledge edges never mix lengths.
-        """
-        seen: set = set()
-        queue: deque = deque()
-        for combo in itertools.product(model.worlds, repeat=width):
-            state = ("h",) + tuple(ca.initial[w] for w in combo)
-            bld.edge(START, combo, state)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-        while queue:
-            state = queue.popleft()
-            for evs in itertools.product(action.events, repeat=width):
-                nxts = tuple(ca.delta.get((cid, e))
-                             for cid, e in zip(state[1:], evs))
-                if any(n is None for n in nxts):
-                    continue
-                nxt = ("h",) + nxts
-                bld.edge(state, evs, nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    def universe() -> fa.Automaton:
-        bld = fa._Builder(big, 1)
-        bld.state(START)
-        spine = aligned_spine(bld, 1)
-        accepting = list(spine)
-        for state in spine:
-            for i in model.domain.initial:
-                bld.edge(state, ("#",), ("d", i))
-        for s, lab, d in model.domain.transitions:
-            bld.edge(("d", s), lab, ("d", d))
-        accepting.extend(("d", q) for q in model.domain.accepting)
-        return fa.trim(bld.build([START], accepting))
-
-    relations: dict[str, fa.Automaton] = {}
-
-    # two histories an agent cannot tell apart: same length, pairwise
-    # related letters, both surviving all preconditions
-    for agent in model.agents:
-        bld = fa._Builder(big, 2)
-        bld.state(START)
-        accepting = set()
-        for w, v in sorted(model.access.get(agent, frozenset())):
-            key = (ca.initial[w], ca.initial[v])
-            bld.edge(START, (w, v), key)
-            accepting.add(key)
-        event_pairs = sorted(action.access.get(agent, frozenset()))
-        queue = deque(accepting)
-        seen = set(accepting)
-        while queue:
-            pair = queue.popleft()
-            for e1, e2 in event_pairs:
-                n1 = ca.delta.get((pair[0], e1))
-                n2 = ca.delta.get((pair[1], e2))
-                if n1 is None or n2 is None:
-                    continue
-                nxt = (n1, n2)
-                bld.edge(pair, (e1, e2), nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        relations[knows_name(agent)] = fa.trim(bld.build([START], sorted(seen)))
-
-    # lifted predicates, guided by the class of the first track's history;
-    # classes whose automata for this predicate coincide share one copy
-    for name, arity in model.signature.predicates:
-        bld = fa._Builder(big, arity + 1)
-        bld.state(START)
-        spine = aligned_spine(bld, arity + 1)
-        accepting = []
-        if arity == 0:
-            accepting = [state for state in spine
-                         if not fa.is_empty(ca.classes[state[1]].automaton(name))]
-        else:
-            groups: dict[tuple, int] = {}
-            for state in spine:
-                rel = ca.classes[state[1]].automaton(name)
-                key = fa.fingerprint(rel)
-                fresh = key not in groups
-                gid = groups.setdefault(key, len(groups))
-                for i in rel.initial:
-                    bld.edge(state, (fa.PAD,) + ("#",) * arity, ("p", gid, i))
-                if fresh:
-                    for s, lab, d in rel.transitions:
-                        bld.edge(("p", gid, s), (fa.PAD,) + lab, ("p", gid, d))
-                    accepting.extend(("p", gid, q) for q in rel.accepting)
-        relations[hat_name(name)] = fa.trim(bld.build([START], accepting))
-
-    # origin: histories beginning at one world
-    for w in model.worlds:
-        relations[origin_name(w)] = ca.history_automaton(big, start_world=w)
-
-    # element-of: (h, g#u) for same-length histories h, g — every copy of
-    # an element of the shared domain belongs to every equally long history
-    bld = fa._Builder(big, 2)
-    bld.state(START)
-    for state in aligned_spine(bld, 2):
-        for i in model.domain.initial:
-            bld.edge(state, (fa.PAD, "#"), ("d", i))
-    for s, lab, d in model.domain.transitions:
-        bld.edge(("d", s), (fa.PAD,) + lab, ("d", d))
-    relations[DOM_NAME] = fa.trim(
-        bld.build([START], [("d", q) for q in model.domain.accepting])
-    )
-
-    pres = AutomaticPresentation(hist_sig, big, universe(), relations)
-    return HistoryPresentation(pres, big, model.worlds, action.events)
+    ca = _closed_quotient(model, action, cap, quotient).automaton
+    classes = {cid: cls.as_interpretation() for cid, cls in ca.classes.items()}
+    return HistoryPresentation(history_structure(
+        model, action.events, action.access, ca.initial, ca.delta, classes))
 
 
 def _history_letters_only(a: fa.Automaton, letters: tuple[str, ...]) -> fa.Automaton:

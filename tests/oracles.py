@@ -581,3 +581,15 @@ def random_qf_action(rng, signature: Signature, alphabet: fa.Alphabet):
         pre={},
         post=post,
     )
+
+
+def random_pre_action(rng, signature: Signature, alphabet: fa.Alphabet):
+    """Like ``random_qf_action``, but most events also carry a random closed
+    non-modal precondition, so some histories are refused."""
+    from epplan.epistemic import ActionModel
+
+    action = random_qf_action(rng, signature, alphabet)
+    pre = {e: random_foel(rng, signature, ("a",), modal_depth=0)
+           for e in action.events if rng.random() < 0.7}
+    return ActionModel(events=action.events, access=action.access, pre=pre,
+                       post=action.post)

@@ -25,7 +25,8 @@ from epplan.epistemic import (
     eval_foel,
     iterate_update,
 )
-from epplan.planner import class_quotient, solution_automaton
+from epplan.logic import format_formula
+from epplan.planner import class_quotient, decide_plan, solution_automaton
 from epplan.presentation import (
     AutomaticPresentation,
     brute_force_check,
@@ -258,3 +259,28 @@ def test_10_canonicalize_refines_a_long_chain_quickly():
     verdict("10 canonical form of a 2001-state chain", canon.states == n + 1,
             time.perf_counter() - started, 1.0,
             f"{canon.states} states")
+
+
+def test_11_modal_decide_on_a_wide_class_automaton():
+    # draw 13 at seed 7 of the random decide-vs-BFS test: 3 worlds, 3 events,
+    # 30 classes, goal "exists v0. K[a] !true".  Walking every track of
+    # every lifted predicate over all 30 classes took over 10 s here.
+    rng = random.Random(7)
+    for _ in range(14):
+        model, _ = oc.random_kripke(rng)
+        action = oc.random_qf_action(rng, model.signature, model.alphabet)
+        goal = oc.random_foel(rng, model.signature, model.agents, modal_depth=1)
+    action = ActionModel(
+        events=action.events,
+        access={agent: frozenset((e, e) for e in action.events)
+                for agent in model.agents},
+        pre=action.pre,
+        post=action.post,
+    )
+    assert (len(model.worlds), len(action.events)) == (3, 3)
+    assert format_formula(goal) == "exists v0. K[a] !true"
+    started = time.perf_counter()
+    result = decide_plan(model, model.worlds[0], action, goal)
+    verdict("11 modal decide over 30 classes", (result.answer, result.classes) == ("no", 30),
+            time.perf_counter() - started, 2.0,
+            f"answer={result.answer}, {result.classes} classes")

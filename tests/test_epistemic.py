@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -262,12 +263,18 @@ def test_model_presentation_encodes_worlds_and_elements():
     assert not fa.accepts(pres.relations["ep^j"], (("u",), ("v",)))
 
 
-def test_world_letters_must_not_clash_with_the_alphabet():
-    model = coin_model()
-    with pytest.raises(InputError):
-        model_presentation(model, {"u": "a", "v": "v"})
-    with pytest.raises(InputError):
-        model_presentation(model, {"u": "#", "v": "v"})
+def test_world_letters_must_not_clash_with_the_alphabet(tmp_path, capsys):
+    from epplan.cli import main
+
+    for clash in ("a", "#"):
+        # coin_model with world u renamed to a domain letter or the separator
+        text = json.dumps(model_to_json(coin_model())).replace('"u"', json.dumps(clash))
+        with pytest.raises(InputError):
+            model_presentation(model_from_json(json.loads(text)))
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["check", str(path), "--world", "v", "--formula", "exists x. P(x)"])
+        assert code == 5 and "must all differ" in capsys.readouterr().err
 
 
 # --- serialization ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from epplan.logic import (
     Atom,
     Signature,
     fresh_history_var,
+    hat_name,
     origin_name,
     parse_formula,
     standard_translation,
@@ -186,29 +187,73 @@ def test_history_presentation_relations(flang):
     assert fa.accepts(pres.relations["from^s"], (h,))
 
 
+def test_lifted_predicates_follow_the_class_of_every_short_history(flang):
+    # P^(h, h#u) holds iff the class of h has u in P, for every history h
+    # of up to four letters; the random draws refuse some histories, and
+    # some of their classes differ only after several events
+    import itertools
+    import random
+
+    rng = random.Random(20)
+    instances = [flang[:2]]
+    for _ in range(6):
+        model, _ = oc.random_kripke(rng)
+        instances.append((model, oc.random_pre_action(rng, model.signature,
+                                                      model.alphabet)))
+    for model, action in instances:
+        quotient = class_quotient(model, action)
+        ca = quotient.automaton
+        pres = history_presentation(model, action, quotient=quotient).presentation
+        elements = [u for (u,) in fa.enumerate_upto(model.domain, 3)]
+        for n in range(1, 5):
+            for h in itertools.product(ca.worlds + ca.events, repeat=n):
+                cid = ca.state_of(h)
+                assert fa.accepts(pres.domain, (h,)) == (cid is not None)
+                if cid is None:
+                    continue
+                for name, arity in model.signature.predicates:
+                    rel = ca.classes[cid].automaton(name)
+                    for tup in itertools.product(elements, repeat=arity):
+                        lifted = (h,) + tuple(h + ("#",) + u for u in tup)
+                        assert fa.accepts(pres.relations[hat_name(name)], lifted) == \
+                            fa.accepts(rel, tup), (h, name, tup)
+
+
 def test_history_presentation_agrees_with_model_evaluation():
     # the two evaluation routes, iterated product update vs the one-shot
-    # history structure, must call every formula the same way
+    # history structure, must call every formula the same way; the random
+    # draws carry preconditions, so some histories are refused
     import random
 
     from epplan.epistemic import eval_foel, eval_on_presentation
+    from epplan.errors import EmptyModelError
     from epplan.logic import fresh_history_var
 
-    model, action = coin_model(), flip_or_wait()
-    hp = history_presentation(model, action)
-    rng = random.Random(7)
-    current = model
-    for depth in range(3):
-        for _ in range(10):
-            phi = oc.random_foel(rng, SIG, model.agents, modal_depth=3)
-            for world in current.worlds:
-                history = tuple(world.split("·"))
-                var = fresh_history_var(phi)
-                direct = eval_foel(current, world, phi)
-                lifted = eval_on_presentation(hp.presentation, phi, var,
-                                              {var: history})
-                assert direct == lifted, (world, str(phi))
-        current = iterate_update(current, action, 1)
+    rng, draw = random.Random(7), random.Random(3)
+    instances = [(coin_model(), flip_or_wait(), 10)]
+    for _ in range(4):
+        model, _ = oc.random_kripke(draw, max_worlds=2)
+        action = oc.random_pre_action(draw, model.signature, model.alphabet)
+        action.access = {agent: frozenset((e, e) for e in action.events)
+                         for agent in model.agents}
+        instances.append((model, action, 3))
+    for model, action, formulas in instances:
+        hp = history_presentation(model, action)
+        current = model
+        for depth in range(3):
+            for _ in range(formulas):
+                phi = oc.random_foel(rng, model.signature, model.agents, modal_depth=3)
+                for world in current.worlds:
+                    history = tuple(world.split("·"))
+                    var = fresh_history_var(phi)
+                    direct = eval_foel(current, world, phi)
+                    lifted = eval_on_presentation(hp.presentation, phi, var,
+                                                  {var: history})
+                    assert direct == lifted, (world, str(phi))
+            try:
+                current = iterate_update(current, action, 1)
+            except EmptyModelError:
+                break
 
 
 def test_history_presentation_cap(flang):
@@ -302,31 +347,34 @@ def test_bfs_plan_modal_goal_path():
 
 
 def test_decide_and_bfs_agree_on_random_quantifier_free_instances():
+    # the second draw adds non-modal preconditions, so refused histories
+    # exercise the valid-history DFA of the history presentation
     import random
-    rng = random.Random(131)
-    for _ in range(25):
-        model, _ = oc.random_kripke(rng)
-        action = oc.random_qf_action(rng, model.signature, model.alphabet)
-        action = ActionModel(
-            events=action.events,
-            access={agent: frozenset((e, e) for e in action.events)
-                    for agent in model.agents},
-            pre=action.pre,
-            post=action.post,
-        )
-        goal = oc.random_foel(rng, model.signature, model.agents, modal_depth=1)
-        world = model.worlds[0]
-        quick = bfs_plan(model, world, action, goal, max_depth=3)
-        settled = decide_plan(model, world, action, goal)
-        if quick.answer == "yes":
-            assert settled.answer == "yes"
-            assert settled.depth == quick.depth
-            assert settled.plan == quick.plan
-        elif settled.answer == "no":
-            assert quick.answer == "unknown"
-        else:
-            # a plan exists but only beyond the search horizon
-            assert settled.depth > 3
+    for seed, random_action in ((131, oc.random_qf_action), (2024, oc.random_pre_action)):
+        rng = random.Random(seed)
+        for _ in range(25):
+            model, _ = oc.random_kripke(rng)
+            action = random_action(rng, model.signature, model.alphabet)
+            action = ActionModel(
+                events=action.events,
+                access={agent: frozenset((e, e) for e in action.events)
+                        for agent in model.agents},
+                pre=action.pre,
+                post=action.post,
+            )
+            goal = oc.random_foel(rng, model.signature, model.agents, modal_depth=1)
+            world = model.worlds[0]
+            quick = bfs_plan(model, world, action, goal, max_depth=3)
+            settled = decide_plan(model, world, action, goal)
+            if quick.answer == "yes":
+                assert settled.answer == "yes"
+                assert settled.depth == quick.depth
+                assert settled.plan == quick.plan
+            elif settled.answer == "no":
+                assert quick.answer == "unknown"
+            else:
+                # a plan exists but only beyond the search horizon
+                assert settled.depth > 3
 
 
 def test_plan_inputs_are_validated(flang):
