@@ -10,6 +10,10 @@ States are integers ``0..states-1``.  Nondeterminism is allowed
 everywhere; ``canonicalize`` produces the minimal trim DFA with a
 breadth-first state numbering, so two automata denote the same relation
 exactly when their canonical forms are equal.
+
+Every construction that discovers its states runs one breadth-first
+loop, ``_Builder.explore``, bounded by one cap: past ``STATE_CAP`` states
+it raises ``ResourceLimitError``.  Every reachability closure is ``_closure``.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ from .errors import (
 
 PAD = "_"
 
-# Subset construction refuses to grow beyond this many states.
-DEFAULT_STATE_CAP = 1_000_000
+# No construction grows beyond this many states (``_Builder.explore``).
+STATE_CAP = 1_000_000
 
 Word = tuple[str, ...]
 Label = tuple[str, ...]
@@ -156,6 +160,32 @@ class _Builder:
     def edge(self, src_key, label: Label, dst_key):
         self.edges.add((self.state(src_key), label, self.state(dst_key)))
 
+    def explore(self, start, moves):
+        """Walk breadth first from the ``start`` keys, adding the edges
+        that ``moves(key)`` yields as ``(label, next_key)``.  Keys are
+        numbered in order of first mention; returns the keys seen.  Raises
+        ResourceLimitError once the construction passes ``STATE_CAP`` states.
+        """
+        ids, edges, cap = self.ids, self.edges, STATE_CAP
+        queue: deque = deque()
+        for key in start:
+            if key not in ids:
+                ids[key] = len(ids)
+                queue.append(key)
+        while queue:
+            if len(ids) > cap:
+                raise ResourceLimitError(
+                    f"automaton construction exceeded the state cap ({cap})")
+            key = queue.popleft()
+            src = ids[key]
+            for label, nxt in moves(key):
+                dst = ids.get(nxt)
+                if dst is None:
+                    dst = ids[nxt] = len(ids)
+                    queue.append(nxt)
+                edges.add((src, label, dst))
+        return ids.keys()
+
     def build(self, initial_keys, accepting_keys, deterministic=False) -> Automaton:
         return Automaton(
             tracks=self.tracks,
@@ -183,6 +213,11 @@ def universal_words(alphabet: Alphabet) -> Automaton:
     return Automaton(1, alphabet, 1, frozenset({0}), frozenset({0}), edges, deterministic=True)
 
 
+def _pads(label: Label) -> frozenset[int]:
+    """The positions of ``label`` that read the pad."""
+    return frozenset(i for i, s in enumerate(label) if s == PAD)
+
+
 @lru_cache(maxsize=None)
 def valid_convolutions(alphabet: Alphabet, tracks: int) -> Automaton:
     """Accepts every valid k-track convolution: pads only as per-track suffixes.
@@ -193,22 +228,11 @@ def valid_convolutions(alphabet: Alphabet, tracks: int) -> Automaton:
     """
     if tracks == 0:
         return epsilon_automaton(alphabet, 0)
+    pads = [(label, _pads(label)) for label in alphabet.tuples(tracks)]
     b = _Builder(alphabet, tracks)
-    start = frozenset()
-    b.state(start)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        padded = queue.popleft()
-        for label in alphabet.tuples(tracks):
-            now = frozenset(i for i, s in enumerate(label) if s == PAD)
-            if not padded <= now:
-                continue
-            b.edge(padded, label, now)
-            if now not in seen:
-                seen.add(now)
-                queue.append(now)
-    return b.build([start], list(seen))
+    seen = b.explore([frozenset()], lambda padded: (
+        (label, now) for label, now in pads if padded <= now))
+    return b.build([frozenset()], seen)
 
 
 def _pad_filter(a: Automaton) -> Automaton:
@@ -217,28 +241,19 @@ def _pad_filter(a: Automaton) -> Automaton:
     if a.tracks == 0:
         return a
     out = _out_map(a)
-    bld = _Builder(a.alphabet, a.tracks)
-    start = [(q, frozenset()) for q in a.initial]
-    for key in start:
-        bld.state(key)
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        key = queue.popleft()
+
+    def moves(key):
         q, padded = key
         for label, dsts in out.get(q, {}).items():
-            pads = frozenset(i for i, s in enumerate(label) if s == PAD)
-            if not padded <= pads:
-                continue  # a padded track may not resume
-            for dst in dsts:
-                nxt = (dst, pads)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    bld.state(nxt)
-                    queue.append(nxt)
-                bld.edge(key, label, nxt)
-    accepting = [key for key in seen if key[0] in a.accepting]
-    return bld.build(start, accepting)
+            pads = _pads(label)
+            if padded <= pads:  # a padded track may not resume
+                for dst in dsts:
+                    yield label, (dst, pads)
+
+    bld = _Builder(a.alphabet, a.tracks)
+    start = [(q, frozenset()) for q in a.initial]
+    seen = bld.explore(start, moves)
+    return bld.build(start, [key for key in seen if key[0] in a.accepting])
 
 
 def convolve(words: tuple[Word, ...]) -> list[Label]:
@@ -277,6 +292,18 @@ def accepts(a: Automaton, words: tuple[Word, ...]) -> bool:
     return bool(current & a.accepting)
 
 
+def _closure(seeds, adjacency: dict) -> set:
+    """Everything reachable from ``seeds`` along ``adjacency``, seeds included."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def trim(a: Automaton) -> Automaton:
     """Drop states that are unreachable or cannot reach acceptance."""
     fwd: dict[int, set[int]] = {}
@@ -284,19 +311,8 @@ def trim(a: Automaton) -> Automaton:
     for src, _, dst in a.transitions:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
-
-    def closure(seeds, adj):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for nxt in adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    reach = closure(a.initial, fwd)
-    co = closure(a.accepting, bwd)
+    reach = _closure(a.initial, fwd)
+    co = _closure(a.accepting, bwd)
     alive = sorted(reach & co)
     if not alive:
         return empty_automaton(a.alphabet, a.tracks)
@@ -323,26 +339,21 @@ def _check_compatible(a: Automaton, b: Automaton):
 def _product_and(a: Automaton, b: Automaton) -> Automaton:
     _check_compatible(a, b)
     out_a, out_b = _out_map(a), _out_map(b)
-    bld = _Builder(a.alphabet, a.tracks)
-    start = [(p, q) for p in a.initial for q in b.initial]
-    queue = deque(start)
-    seen = set(start)
-    for k in start:
-        bld.state(k)
-    while queue:
-        p, q = queue.popleft()
+
+    def moves(key):
+        p, q = key
         row_a = out_a.get(p, {})
         row_b = out_b.get(q, {})
         small, large = (row_a, row_b) if len(row_a) <= len(row_b) else (row_b, row_a)
         for label in small:
-            if label not in large:
-                continue
-            for p2 in row_a[label]:
-                for q2 in row_b[label]:
-                    if (p2, q2) not in seen:
-                        seen.add((p2, q2))
-                        queue.append((p2, q2))
-                    bld.edge((p, q), label, (p2, q2))
+            if label in large:
+                for p2 in row_a[label]:
+                    for q2 in row_b[label]:
+                        yield label, (p2, q2)
+
+    bld = _Builder(a.alphabet, a.tracks)
+    start = [(p, q) for p in a.initial for q in b.initial]
+    seen = bld.explore(start, moves)
     accepting = [k for k in seen if k[0] in a.accepting and k[1] in b.accepting]
     return trim(bld.build(start, accepting))
 
@@ -362,91 +373,71 @@ def _union(a: Automaton, b: Automaton) -> Automaton:
     )
 
 
-def boolean_combine(a: Automaton, b: Automaton, op: str,
-                    state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
+def boolean_combine(a: Automaton, b: Automaton, op: str) -> Automaton:
     """Intersection, union, or difference of two same-shape automata."""
     if op == "and":
         return _product_and(a, b)
     if op == "or":
         return _union(a, b)
     if op == "minus":
-        return _minus(a, b, state_cap=state_cap)
+        return _minus(a, b)
     raise InputError(f"unknown boolean op {op!r}")
 
 
-def _minus(a: Automaton, b: Automaton, state_cap: int) -> Automaton:
+def _minus(a: Automaton, b: Automaton) -> Automaton:
     """Exact difference L(a) \\ L(b), walking only labels ``a`` actually has.
 
     ``b`` is determinized and read with an implicit sink, so the label
     space is never enumerated; the cost is bounded by the edges of ``a``.
     """
     _check_compatible(a, b)
-    det = determinize(b, state_cap=state_cap)
+    det = determinize(b)
     out_a, out_d = _out_map(a), _out_map(det)
-    det_initial = next(iter(det.initial))
-    SINK = -1
+    SINK = -1  # not a state of ``det``: no moves, not accepting
 
-    bld = _Builder(a.alphabet, a.tracks)
-    start = [(p, det_initial) for p in a.initial]
-    queue = deque(start)
-    seen = set(start)
-    for k in start:
-        bld.state(k)
-    while queue:
-        p, dq = queue.popleft()
-        row_d = out_d.get(dq, {}) if dq != SINK else {}
+    def moves(key):
+        p, dq = key
+        row_d = out_d.get(dq, {})
         for label, pdsts in out_a.get(p, {}).items():
             dd = row_d.get(label)
             d2 = next(iter(dd)) if dd else SINK
             for p2 in pdsts:
-                key = (p2, d2)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-                bld.edge((p, dq), label, key)
-    accepting = [
-        (p, dq)
-        for (p, dq) in seen
-        if p in a.accepting and (dq == SINK or dq not in det.accepting)
-    ]
+                yield label, (p2, d2)
+
+    bld = _Builder(a.alphabet, a.tracks)
+    start = [(p, q) for p in a.initial for q in det.initial]
+    seen = bld.explore(start, moves)
+    accepting = [(p, dq) for p, dq in seen if p in a.accepting and dq not in det.accepting]
     return trim(bld.build(start, accepting))
 
 
-def determinize(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
+def _grouped(out: dict[int, dict[Label, set[int]]], subset) -> dict[Label, set[int]]:
+    """The moves of every state in ``subset``, merged by label."""
+    moves: dict[Label, set[int]] = {}
+    for q in subset:
+        for label, dsts in out.get(q, {}).items():
+            moves.setdefault(label, set()).update(dsts)
+    return moves
+
+
+def determinize(a: Automaton) -> Automaton:
     """Subset construction; only labels with outgoing moves are materialized."""
     out = _out_map(a)
     start = frozenset(a.initial)
     bld = _Builder(a.alphabet, a.tracks)
-    bld.state(start)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        subset = queue.popleft()
-        moves: dict[Label, set[int]] = {}
-        for q in subset:
-            for label, dsts in out.get(q, {}).items():
-                moves.setdefault(label, set()).update(dsts)
-        for label, dsts in moves.items():
-            nxt = frozenset(dsts)
-            if nxt not in seen:
-                if len(seen) >= state_cap:
-                    raise ResourceLimitError(
-                        f"determinization exceeded the state cap ({state_cap})"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-            bld.edge(subset, label, nxt)
+    seen = bld.explore([start], lambda subset: (
+        (label, frozenset(dsts)) for label, dsts in _grouped(out, subset).items()))
     accepting = [s for s in seen if s & a.accepting]
     return bld.build([start], accepting, deterministic=True)
 
 
-def complement(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
+def complement(a: Automaton) -> Automaton:
     """Valid convolutions of the same shape not accepted by ``a``.
 
     Complementation is relative to the valid-convolution language, so
     the result again satisfies the padding invariant.
     """
-    return _minus(valid_convolutions(a.alphabet, a.tracks), a, state_cap=state_cap)
+    return _minus(valid_convolutions(a.alphabet, a.tracks), a)
 
 
 _JOIN_DONE = -1  # a component whose tracks have all run out of letters
@@ -466,7 +457,7 @@ def track_join(alphabet: Alphabet, tracks: int,
     outs = [_out_map(c) for c, _ in components]
     symbols = alphabet.letters + (PAD,)
 
-    def moves(index: int, state: int):
+    def steps(index: int, state: int):
         auto, positions = components[index]
         pad_sub = (PAD,) * len(positions)
         if state == _JOIN_DONE:
@@ -478,33 +469,23 @@ def track_join(alphabet: Alphabet, tracks: int,
             found.append((pad_sub, _JOIN_DONE))
         return found
 
-    def finished(index: int, state: int) -> bool:
-        return state == _JOIN_DONE or state in components[index][0].accepting
+    def placed(choice) -> list[str | None] | None:
+        """The chosen sub-labels at their positions; None when repeated
+        positions disagree."""
+        label: list[str | None] = [None] * tracks
+        for (sub, _), (_, positions) in zip(choice, components):
+            for sym, pos in zip(sub, positions):
+                if label[pos] not in (None, sym):
+                    return None
+                label[pos] = sym
+        return label
 
-    bld = _Builder(alphabet, tracks)
-    start = [(combo, frozenset())
-             for combo in itertools.product(*(c.initial for c, _ in components))]
-    for key in start:
-        bld.state(key)
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        key = queue.popleft()
+    def moves(key):
         combo, padded = key
-        for choice in itertools.product(*(moves(i, q) for i, q in enumerate(combo))):
-            label: list[str | None] = [None] * tracks
-            ok = True
-            for (sub, _), (_, positions) in zip(choice, components):
-                for sym, pos in zip(sub, positions):
-                    if label[pos] is not None and label[pos] != sym:
-                        ok = False  # repeated positions must agree
-                        break
-                    label[pos] = sym
-                if not ok:
-                    break
-            if not ok:
+        for choice in itertools.product(*(steps(i, q) for i, q in enumerate(combo))):
+            base = placed(choice)
+            if base is None:
                 continue
-            base = tuple(label)
             nxt_combo = tuple(dst for _, dst in choice)
             for fill in itertools.product(symbols, repeat=len(wild)):
                 full = list(base)
@@ -515,14 +496,14 @@ def track_join(alphabet: Alphabet, tracks: int,
                 if any(full[pos] != PAD for pos in padded):
                     continue  # a padded track may not resume
                 new_padded = padded | {p for p, s in enumerate(full) if s == PAD}
-                nxt = (nxt_combo, new_padded)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    bld.state(nxt)
-                    queue.append(nxt)
-                bld.edge(key, tuple(full), nxt)
-    accepting = [key for key in seen
-                 if all(finished(i, q) for i, q in enumerate(key[0]))]
+                yield tuple(full), (nxt_combo, new_padded)
+
+    bld = _Builder(alphabet, tracks)
+    start = [(combo, frozenset())
+             for combo in itertools.product(*(c.initial for c, _ in components))]
+    seen = bld.explore(start, moves)
+    accepting = [key for key in seen if all(q == _JOIN_DONE or q in c.accepting
+                                            for q, (c, _) in zip(key[0], components))]
     return trim(bld.build(start, accepting))
 
 
@@ -583,13 +564,7 @@ def project(a: Automaton, position: int) -> Automaton:
     for s, lab, d in src.transitions:
         if all(x == PAD for x in drop(lab)):
             tail.setdefault(d, set()).add(s)
-    saturated = set(src.accepting)
-    stack = list(saturated)
-    while stack:
-        for prev in tail.get(stack.pop(), ()):
-            if prev not in saturated:
-                saturated.add(prev)
-                stack.append(prev)
+    saturated = _closure(src.accepting, tail)
 
     edges = set()
     for s, lab, d in src.transitions:
@@ -614,7 +589,7 @@ def _sorted_transitions(a: Automaton) -> list[Transition]:
     return sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
 
 
-def canonicalize(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
+def canonicalize(a: Automaton) -> Automaton:
     """Minimal trim DFA of the accepted tuple set, BFS-numbered.
 
     Minimization is Hopcroft partition refinement, O(m log n) in the m
@@ -624,21 +599,12 @@ def canonicalize(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
     structurally identical results, so canonical forms can be compared
     or hashed directly.
     """
-    det = determinize(
-        _pad_filter(a), state_cap=state_cap
-    )
+    det = determinize(_pad_filter(a))
     bwd: dict[int, set[int]] = {}
     for s, _, d in det.transitions:
         bwd.setdefault(d, set()).add(s)
-
     # every determinized state is reachable, so live = co-reachable
-    live: set[int] = set()
-    stack = list(det.accepting)
-    while stack:
-        q = stack.pop()
-        if q not in live:
-            live.add(q)
-            stack.extend(bwd.get(q, ()))
+    live = _closure(det.accepting, bwd)
     start = next(iter(det.initial))
     if start not in live:
         return Automaton(a.tracks, a.alphabet, 1, frozenset({0}), frozenset(),
@@ -686,20 +652,12 @@ def canonicalize(a: Automaton, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
                 waiting.add(half)
 
     # BFS numbering from the initial block, labels in sort order
-    order = {part[start]: 0}
-    queue = deque([part[start]])
-    edges = set()
-    while queue:
-        blk = queue.popleft()
-        for _, lab, d in sorted(rows[next(iter(blocks[blk]))]):
-            dblk = part[d]
-            if dblk not in order:
-                order[dblk] = len(order)
-                queue.append(dblk)
-            edges.add((order[blk], lab, order[dblk]))
-    accepting = frozenset(order[part[q]] for q in live & det.accepting)
-    return Automaton(a.tracks, a.alphabet, len(order), frozenset({0}),
-                     accepting, frozenset(edges), deterministic=True)
+    first = part[start]
+    bld = _Builder(a.alphabet, a.tracks)
+    bld.explore([first], lambda blk: (
+        (lab, part[d]) for _, lab, d in sorted(rows[next(iter(blocks[blk]))])))
+    return bld.build([first], {part[q] for q in live & det.accepting},
+                     deterministic=True)
 
 
 def fingerprint(a: Automaton) -> tuple:
@@ -720,13 +678,11 @@ def is_empty(a: Automaton) -> bool:
     return not (t.accepting and t.initial)
 
 
-def equivalent(a: Automaton, b: Automaton,
-               state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def equivalent(a: Automaton, b: Automaton) -> bool:
     """Language equality, via emptiness of both differences."""
     _check_compatible(a, b)
-    return is_empty(boolean_combine(a, b, "minus", state_cap=state_cap)) and is_empty(
-        boolean_combine(b, a, "minus", state_cap=state_cap)
-    )
+    return is_empty(boolean_combine(a, b, "minus")) and is_empty(
+        boolean_combine(b, a, "minus"))
 
 
 def is_empty_witness(a: Automaton) -> tuple[Word, ...] | None:
@@ -779,10 +735,7 @@ def enumerate_upto(a: Automaton, max_length: int) -> list[tuple[Word, ...]]:
     for _ in range(max_length):
         nxt: list[tuple[tuple[Label, ...], frozenset[int]]] = []
         for path, states in level:
-            moves: dict[Label, set[int]] = {}
-            for q in states:
-                for label, dsts in out.get(q, {}).items():
-                    moves.setdefault(label, set()).update(dsts)
+            moves = _grouped(out, states)
             for label in sorted(moves, key=key):
                 reached = frozenset(moves[label])
                 nxt.append((path + (label,), reached))
@@ -972,42 +925,20 @@ def regex_to_automaton(pattern: str, alphabet: Alphabet) -> Automaton:
     start, end = parser.parse()
 
     eps: dict[int, set[int]] = {}
-    moves: dict[int, set[tuple[str, int]]] = {}
-    nodes = {start, end}
+    out: dict[int, dict[Label, set[int]]] = {}
     for s, sym, d in parser.eps_edges:
-        nodes |= {s, d}
         if sym is None:
             eps.setdefault(s, set()).add(d)
         else:
-            moves.setdefault(s, set()).add((sym, d))
+            out.setdefault(s, {}).setdefault((sym,), set()).add(d)
 
     def closure(qs: frozenset[int]) -> frozenset[int]:
-        seen = set(qs)
-        stack = list(qs)
-        while stack:
-            for nxt in eps.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
+        return frozenset(_closure(qs, eps))
 
     bld = _Builder(alphabet, 1)
     init = closure(frozenset({start}))
-    bld.state(init)
-    queue = deque([init])
-    seen = {init}
-    while queue:
-        cur = queue.popleft()
-        grouped: dict[str, set[int]] = {}
-        for q in cur:
-            for sym, d in moves.get(q, ()):
-                grouped.setdefault(sym, set()).add(d)
-        for sym, dsts in grouped.items():
-            nxt = closure(frozenset(dsts))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-            bld.edge(cur, (sym,), nxt)
+    seen = bld.explore([init], lambda cur: (
+        (label, closure(frozenset(dsts))) for label, dsts in _grouped(out, cur).items()))
     accepting = [qs for qs in seen if end in qs]
     return trim(bld.build([init], accepting))
 

@@ -17,7 +17,6 @@ minimal DFA of valid histories; the first track of a lifted predicate
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import automata as fa
@@ -340,24 +339,20 @@ def _spine(bld: fa._Builder, walkers: list, allowed=None) -> set:
     """Edges reading one history per track, all of the same length, each
     track on its own walker; ``allowed``, when given, filters the labels.
     Returns the states reached after the start."""
-    start = (_START,) * len(walkers)
-    bld.state(start)
-    seen = {start}
-    queue = deque(seen)
-    while queue:
-        state = queue.popleft()
-        moves = [walker.get(q, {}).items() for walker, q in zip(walkers, state)]
-        for combo in itertools.product(*moves):
+    def moves(state):
+        rows = [walker.get(q, {}).items() for walker, q in zip(walkers, state)]
+        for combo in itertools.product(*rows):
             nxt, letters = zip(*combo)
-            labels = [label for label in itertools.product(*letters)
-                      if allowed is None or label in allowed]
-            for label in labels:
-                bld.edge(state, label, nxt)
-            if labels and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    seen.discard(start)
-    return seen
+            for label in itertools.product(*letters):
+                if allowed is None or label in allowed:
+                    yield label, nxt
+
+    start = (_START,) * len(walkers)
+    # added key by key in numbering order: the tails are grouped in the
+    # set's order, and a bulk copy of the keys would size it differently
+    spine = set(iter(bld.explore([start], moves)))
+    spine.discard(start)
+    return spine
 
 
 def _tail(bld: fa._Builder, sources, prefix: tuple, rel: fa.Automaton, tag) -> list:
@@ -382,9 +377,12 @@ def history_structure(model: EpistemicModel, events: tuple[str, ...],
     A history is a world letter followed by event letters.  ``initial``
     gives each world's class, ``delta`` moves a class along an event (a
     missing entry: the precondition fails there), and ``classes`` gives
-    each class's interpretation as canonical automata.  Universe words
-    are histories ``h`` and tagged elements ``h # u``; the alphabet lists
-    world letters, event letters, ``#``, then the domain letters.
+    each class's interpretation as automata.  Classes share a tail copy
+    of a relation only when their automata for it are structurally equal,
+    so canonical automata share the most, but any automata are sound.
+    Universe words are histories ``h`` and tagged elements ``h # u``; the
+    alphabet lists world letters, event letters, ``#``, then the domain
+    letters.
 
     Each track walks only what it needs to know.  Element tracks, the
     ``ep^`` tracks and both ``dom^`` tracks only need to be histories,
@@ -459,10 +457,8 @@ def history_structure(model: EpistemicModel, events: tuple[str, ...],
 def model_presentation(model: EpistemicModel) -> AutomaticPresentation:
     """Present a model as the history structure of its bare worlds: each
     world is its own class and there are no events."""
-    classes = {w: {name: fa.canonicalize(model.interpretations[w][name])
-                   for name, _ in model.signature.predicates}
-               for w in model.worlds}
-    return history_structure(model, (), {}, {w: w for w in model.worlds}, {}, classes)
+    return history_structure(model, (), {}, {w: w for w in model.worlds}, {},
+                             model.interpretations)
 
 
 def element_word(world_letter: str, value: fa.Word) -> fa.Word:

@@ -140,16 +140,10 @@ class ClassAutomaton:
 
     def reachable(self, world: str) -> set[str]:
         """Ids of the classes that some history from ``world`` lands in."""
-        seen = {self.initial[world]}
-        stack = list(seen)
-        while stack:
-            cid = stack.pop()
-            for event in self.events:
-                nxt = self.delta.get((cid, event))
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        succ: dict[str, set[str]] = {}
+        for (cid, _), nxt in self.delta.items():
+            succ.setdefault(cid, set()).add(nxt)
+        return fa._closure({self.initial[world]}, succ)
 
     def history_automaton(self, alphabet: fa.Alphabet,
                           start_world: str | None = None,

@@ -33,7 +33,7 @@ from .logic import (
 )
 
 # Intermediate results are minimized once they exceed this many states.
-DEFAULT_CANON_THRESHOLD = 5_000
+CANON_THRESHOLD = 5_000
 
 
 @dataclass
@@ -127,10 +127,8 @@ class _Compiler:
     ``¬∃y. (g ∧ ¬ψ)``, complementing only ``ψ`` and the projection.
     """
 
-    def __init__(self, pres: AutomaticPresentation, canon_threshold: int, state_cap: int):
+    def __init__(self, pres: AutomaticPresentation):
         self.pres = pres
-        self.canon_threshold = canon_threshold
-        self.state_cap = state_cap
         self.powers: dict[int, fa.Automaton] = {}
 
     def power(self, k: int) -> fa.Automaton:
@@ -139,8 +137,8 @@ class _Compiler:
         return self.powers[k]
 
     def shrink(self, a: fa.Automaton) -> fa.Automaton:
-        if a.states > self.canon_threshold:
-            return fa.canonicalize(a, state_cap=self.state_cap)
+        if a.states > CANON_THRESHOLD:
+            return fa.canonicalize(a)
         return a
 
     def lift(self, a: fa.Automaton, frm: tuple[str, ...],
@@ -177,11 +175,7 @@ class _Compiler:
             if isinstance(inner, Or):
                 return self.narrow(And(Not(inner.left), Not(inner.right)))
             a, vs = self.narrow(inner)
-            out = self.shrink(
-                fa.boolean_combine(self.power(len(vs)), a, "minus",
-                                   state_cap=self.state_cap)
-            )
-            return out, vs
+            return self.shrink(fa.boolean_combine(self.power(len(vs)), a, "minus")), vs
         if isinstance(node, (And, Or)):
             a, va = self.narrow(node.left)
             b, vb = self.narrow(node.right)
@@ -220,9 +214,8 @@ class _Compiler:
         return self.lift(a, vs, tuple(scope))
 
 
-def compile_formula(pres: AutomaticPresentation, node: Formula, scope: tuple[str, ...],
-                    canon_threshold: int = DEFAULT_CANON_THRESHOLD,
-                    state_cap: int = fa.DEFAULT_STATE_CAP) -> fa.Automaton:
+def compile_formula(pres: AutomaticPresentation, node: Formula,
+                    scope: tuple[str, ...]) -> fa.Automaton:
     """Automaton of satisfying assignments, one track per scope variable.
 
     Universal quantifiers go through double negation; every track of the
@@ -234,45 +227,45 @@ def compile_formula(pres: AutomaticPresentation, node: Formula, scope: tuple[str
     missing = [v for v in free_variables(node) if v not in scope]
     if missing:
         raise InputError(f"free variables {missing} are not in the scope")
-    return _Compiler(pres, canon_threshold, state_cap).compile(node, tuple(scope))
+    return _Compiler(pres).compile(node, tuple(scope))
 
 
 # the query surface
 
 def defined_relation(pres: AutomaticPresentation, node: Formula,
-                     scope: tuple[str, ...], **kwargs) -> fa.Automaton:
+                     scope: tuple[str, ...]) -> fa.Automaton:
     """The relation a formula defines, with tracks ordered by ``scope``."""
-    return compile_formula(pres, node, scope, **kwargs)
+    return compile_formula(pres, node, scope)
 
 
-def check_sentence(pres: AutomaticPresentation, node: Formula, **kwargs) -> bool:
+def check_sentence(pres: AutomaticPresentation, node: Formula) -> bool:
     """Truth of a closed non-modal formula in the presented structure."""
     info = classify(node)
     if not info.closed:
         raise InputError(f"not a sentence; free variables {info.free_vars}")
     if info.modal:
         raise FragmentError("check_sentence handles non-modal sentences only")
-    return not fa.is_empty(compile_formula(pres, node, (), **kwargs))
+    return not fa.is_empty(compile_formula(pres, node, ()))
 
 
 def enumerate_domain(domain: fa.Automaton, limit: int = 10_000) -> list[fa.Word]:
     """All domain words, when the (trimmed) domain automaton is acyclic."""
     t = fa.trim(domain)
-    adjacency: dict[int, set[int]] = {}
+    # Kahn: peel off states without incoming edges; a cycle never peels
+    targets: dict[int, list[int]] = {}
+    incoming = [0] * t.states
     for s, _, d in t.transitions:
-        adjacency.setdefault(s, set()).add(d)
-    color: dict[int, int] = {}
-
-    def cyclic(q: int) -> bool:
-        color[q] = 1
-        for nxt in adjacency.get(q, ()):
-            mark = color.get(nxt, 0)
-            if mark == 1 or (mark == 0 and cyclic(nxt)):
-                return True
-        color[q] = 2
-        return False
-
-    if any(color.get(q, 0) == 0 and cyclic(q) for q in range(t.states)):
+        targets.setdefault(s, []).append(d)
+        incoming[d] += 1
+    ready = [q for q in range(t.states) if not incoming[q]]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for d in targets.get(ready.pop(), ()):
+            incoming[d] -= 1
+            if not incoming[d]:
+                ready.append(d)
+    if peeled < t.states:
         raise InfiniteDomainError("the domain automaton has a reachable cycle")
     words = fa.enumerate_upto(t, t.states)
     if len(words) > limit:

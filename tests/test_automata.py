@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles as oc
 from epplan import automata as fa
-from epplan.errors import InputError, ParseError, TrackMismatchError
+from epplan.errors import InputError, ParseError, ResourceLimitError, TrackMismatchError
 
 AB = fa.Alphabet(("a", "b"))
 
@@ -330,6 +330,41 @@ def test_witness_agrees_with_enumeration(rel):
         assert wit is None
     else:
         assert wit == fa.enumerate_upto(auto, 6)[0]
+
+
+# --- the state cap -------------------------------------------------------------------------
+
+CHAIN = oc.finite_domain(AB, [("a", "b", "a", "b")])  # five states in a row
+
+
+def _history_presentation_case():
+    from epplan.cli import build_language_demo
+    from epplan.planner import class_quotient, history_presentation
+    model, action, _ = build_language_demo(["a*", "b*"], "a·b")
+    quotient = class_quotient(model, action)  # built before the cap shrinks
+    return lambda: history_presentation(model, action, quotient=quotient)
+
+
+# each case sets up its inputs under the default cap and returns the construction
+CAPPED_CONSTRUCTIONS = {
+    "_pad_filter": lambda: lambda: fa._pad_filter(CHAIN),
+    "and": lambda: lambda: fa.boolean_combine(CHAIN, CHAIN, "and"),
+    "minus": lambda: lambda: fa.boolean_combine(CHAIN, fa.empty_automaton(AB, 1), "minus"),
+    "determinize": lambda: lambda: fa.determinize(CHAIN),
+    "substitute_tracks": lambda: lambda: fa.substitute_tracks(CHAIN, (1,), 2, CHAIN),
+    "regex_to_automaton": lambda: lambda: fa.regex_to_automaton("a·b·a·b", AB),
+    "canonicalize": lambda: lambda: fa.canonicalize(CHAIN),
+    "history_presentation": _history_presentation_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_CONSTRUCTIONS))
+def test_the_state_cap_bounds_every_construction(name, monkeypatch):
+    construct = CAPPED_CONSTRUCTIONS[name]()
+    construct()  # fine under the default cap
+    monkeypatch.setattr(fa, "STATE_CAP", 3)
+    with pytest.raises(ResourceLimitError, match=r"exceeded the state cap \(3\)"):
+        construct()
 
 
 # --- serialization -------------------------------------------------------------------------

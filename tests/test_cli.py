@@ -247,6 +247,14 @@ def test_demo_lang_negative_target(capsys):
     assert code == 2 and out["answer"] == "unknown"
 
 
+def test_demo_lang_over_the_state_cap_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(fa, "STATE_CAP", 4)
+    code, out, err = run(capsys, "demo", "lang", "--generators", "a*,b*",
+                         "--target", TARGET)
+    assert code == 4 and out is None
+    assert err == "error: automaton construction exceeded the state cap (4)\n"
+
+
 def test_demo_lang_concat_needs_bfs(tmp_path, capsys):
     emit = tmp_path / "demo"
     target = TARGET + "·a·b"

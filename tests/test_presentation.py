@@ -240,6 +240,13 @@ def test_enumerate_domain_rejects_cycles():
         enumerate_domain(fa.universal_words(AB))
 
 
+def test_enumerate_domain_walks_a_long_chain():
+    # deeper than the interpreter's recursion limit
+    chain = fa.Automaton(1, AB, 1500, frozenset({0}), frozenset({1499}),
+                         frozenset((i, ("a",), i + 1) for i in range(1499)))
+    assert enumerate_domain(chain) == [("a",) * 1499]
+
+
 def test_enumerate_domain_respects_the_limit():
     dom = oc.finite_domain(AB, [(c1, c2) for c1 in "ab" for c2 in "ab"])
     with pytest.raises(InfiniteDomainError):
