@@ -10,7 +10,6 @@ from .automata import (
     boolean_combine,
     canonicalize,
     complement,
-    cylindrify,
     enumerate_upto,
     equivalent,
     is_empty,

@@ -533,14 +533,6 @@ def substitute_tracks(a: Automaton, sigma: tuple[int, ...], tracks: int,
     return track_join(a.alphabet, tracks, components, wild)
 
 
-def cylindrify(a: Automaton, position: int, universe: Automaton | None = None) -> Automaton:
-    """Insert a fresh track at ``position`` (1-based), ranging over ``universe``."""
-    if not 1 <= position <= a.tracks + 1:
-        raise InputError(f"cannot insert track at position {position}")
-    sigma = tuple(m if m < position else m + 1 for m in range(1, a.tracks + 1))
-    return substitute_tracks(a, sigma, a.tracks + 1, universe)
-
-
 def project(a: Automaton, position: int) -> Automaton:
     """Drop one track, closing over the pads the removed track leaves behind.
 

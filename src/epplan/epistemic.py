@@ -32,7 +32,6 @@ from .logic import (
     Signature,
     classify,
     format_formula,
-    free_variables,
     fresh_history_var,
     hat_name,
     history_signature,
@@ -154,8 +153,7 @@ class ActionModel:
         for e in self.events:
             pre = self.pre.get(e)
             if pre is not None:
-                validate_against(pre, signature)
-                info = classify(pre)
+                info = validate_against(pre, signature)
                 if info.modal:
                     raise FragmentError(f"precondition of {e!r} is modal")
                 if not info.closed:
@@ -163,8 +161,7 @@ class ActionModel:
             for p, phi in self.post.get(e, {}).items():
                 if p not in signature:
                     raise InputError(f"post of {e!r} rewrites unknown predicate {p!r}")
-                validate_against(phi, signature)
-                info = classify(phi)
+                info = validate_against(phi, signature)
                 if info.modal:
                     raise FragmentError(f"post of {e!r} for {p!r} is modal")
                 allowed = set(post_variables(signature.arity(p)))
@@ -470,7 +467,7 @@ def eval_on_presentation(pres: AutomaticPresentation, phi: Formula, hist_var: st
                          bindings: dict[str, fa.Word]) -> bool:
     """Compile the translated formula over the history variable and the
     free variables, then test the bound tuple for membership."""
-    scope = (hist_var,) + free_variables(phi)
+    scope = (hist_var,) + classify(phi).free_vars
     compiled = compile_formula(pres, standard_translation(phi, hist_var), scope)
     return fa.accepts(compiled, tuple(bindings[v] for v in scope))
 
@@ -481,9 +478,9 @@ def eval_foel(model: EpistemicModel, world: str, phi: Formula,
     as domain words."""
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
-    validate_against(phi, model.signature)
+    info = validate_against(phi, model.signature)
     assignment = assignment or {}
-    for var in free_variables(phi):
+    for var in info.free_vars:
         if var not in assignment:
             raise InputError(f"no value for free variable {var!r}")
         if not fa.accepts(model.domain, (assignment[var],)):
@@ -491,7 +488,7 @@ def eval_foel(model: EpistemicModel, world: str, phi: Formula,
     pres = model_presentation(model)
     y = fresh_history_var(phi)
     bindings = {y: (world,)}
-    for var in free_variables(phi):
+    for var in info.free_vars:
         bindings[var] = element_word(world, assignment[var])
     return eval_on_presentation(pres, phi, y, bindings)
 

@@ -4,6 +4,11 @@ and the standard translation into the one-free-variable history encoding.
 Core constructors are Atom, Not, And, Forall, and Know; Or, Implies, Iff,
 Exists, and the two constants are kept as first-class nodes so that
 parsing and printing round-trip exactly.
+
+``children`` is the one place that knows the shape of a node.  Every fact
+the rest of the package asks of a formula (free and bound variables,
+atoms, modal depth, quantifiers, nesting height) comes from one walk over
+it, ``classify``; ``validate_against`` checks the atoms that walk found.
 """
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import (
     MAX_NESTING,
-    FragmentError,
     InputError,
     ParseError,
     VariableCaptureError,
@@ -150,21 +154,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _height(node: Formula) -> int:
-    """How deeply operators nest in a formula, found without recursion."""
-    height, stack = 0, [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        height = max(height, depth)
-        if isinstance(node, Not):
-            stack.append((node.operand, depth + 1))
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-        elif isinstance(node, (Forall, Exists, Know)):
-            stack.append((node.body, depth + 1))
-    return height
-
-
 class _FormulaParser:
     """Precedence climbing: ! binds tightest, then &, |, ->, <->.
 
@@ -204,7 +193,7 @@ class _FormulaParser:
         if self.peek() is not None:
             raise ParseError("unexpected trailing input", self.peek()[2])
         # chains of & and | parse in a loop but still nest to the left
-        if _height(node) > MAX_NESTING:
+        if classify(node).height > MAX_NESTING:
             raise ParseError(f"formula nests deeper than {MAX_NESTING} levels")
         return node
 
@@ -344,119 +333,81 @@ def format_formula(node: Formula) -> str:
 
 # --- classification ----------------------------------------------------------
 
+def children(node: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of a node, left to right."""
+    if isinstance(node, Not):
+        return (node.operand,)
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return (node.left, node.right)
+    if isinstance(node, (Forall, Exists, Know)):
+        return (node.body,)
+    if isinstance(node, (Atom, TrueFormula, FalseFormula)):
+        return ()
+    raise InputError(f"not a formula node: {node!r}")
+
+
 @dataclass(frozen=True)
 class FormulaInfo:
-    free_vars: tuple[str, ...]
-    modal: bool
+    """What one walk over a formula learns about it."""
+
+    free_vars: tuple[str, ...]  # in order of first free occurrence
+    variables: frozenset[str]  # bound or free
+    atoms: tuple[Atom, ...]  # in pre-order
+    modal_depth: int
     quantifier_free: bool
-    closed: bool
+    height: int  # how deeply operators nest
 
+    @property
+    def modal(self) -> bool:
+        return self.modal_depth > 0
 
-def _walk_free(node: Formula, bound: frozenset[str], acc: list[str]):
-    if isinstance(node, Atom):
-        for v in node.args:
-            if v not in bound and v not in acc:
-                acc.append(v)
-    elif isinstance(node, Not):
-        _walk_free(node.operand, bound, acc)
-    elif isinstance(node, (And, Or, Implies, Iff)):
-        _walk_free(node.left, bound, acc)
-        _walk_free(node.right, bound, acc)
-    elif isinstance(node, (Forall, Exists)):
-        _walk_free(node.body, bound | {node.var}, acc)
-    elif isinstance(node, Know):
-        _walk_free(node.body, bound, acc)
-
-
-def free_variables(node: Formula) -> tuple[str, ...]:
-    """Free variables in order of first free occurrence."""
-    acc: list[str] = []
-    _walk_free(node, frozenset(), acc)
-    return tuple(acc)
-
-
-def all_variables(node: Formula) -> frozenset[str]:
-    if isinstance(node, Atom):
-        return frozenset(node.args)
-    if isinstance(node, Not):
-        return all_variables(node.operand)
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return all_variables(node.left) | all_variables(node.right)
-    if isinstance(node, (Forall, Exists)):
-        return all_variables(node.body) | {node.var}
-    if isinstance(node, Know):
-        return all_variables(node.body)
-    return frozenset()
-
-
-def _is_modal(node: Formula) -> bool:
-    if isinstance(node, Know):
-        return True
-    if isinstance(node, Not):
-        return _is_modal(node.operand)
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return _is_modal(node.left) or _is_modal(node.right)
-    if isinstance(node, (Forall, Exists)):
-        return _is_modal(node.body)
-    return False
-
-
-def _has_quantifier(node: Formula) -> bool:
-    if isinstance(node, (Forall, Exists)):
-        return True
-    if isinstance(node, Not):
-        return _has_quantifier(node.operand)
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return _has_quantifier(node.left) or _has_quantifier(node.right)
-    if isinstance(node, Know):
-        return _has_quantifier(node.body)
-    return False
-
-
-def modal_depth(node: Formula) -> int:
-    if isinstance(node, Know):
-        return 1 + modal_depth(node.body)
-    if isinstance(node, Not):
-        return modal_depth(node.operand)
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return max(modal_depth(node.left), modal_depth(node.right))
-    if isinstance(node, (Forall, Exists)):
-        return modal_depth(node.body)
-    return 0
+    @property
+    def closed(self) -> bool:
+        return not self.free_vars
 
 
 def classify(node: Formula) -> FormulaInfo:
-    free = free_variables(node)
-    return FormulaInfo(
-        free_vars=free,
-        modal=_is_modal(node),
-        quantifier_free=not _has_quantifier(node),
-        closed=not free,
-    )
+    """Every fact above in one pre-order walk, left to right; the walk
+    keeps its own stack, so deep formulas cost no recursion."""
+    free: dict[str, None] = {}
+    variables: set[str] = set()
+    atoms: list[Atom] = []
+    modal_depth = height = 0
+    quantifier_free = True
+    stack = [(node, frozenset(), 0, 0)]  # node, bound variables, depth, K depth
+    while stack:
+        node, bound, depth, k_depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(node, Atom):
+            atoms.append(node)
+            variables.update(node.args)
+            free.update((v, None) for v in node.args if v not in bound)
+        elif isinstance(node, (Forall, Exists)):
+            quantifier_free = False
+            variables.add(node.var)
+            bound = bound | {node.var}
+        elif isinstance(node, Know):
+            k_depth += 1
+            modal_depth = max(modal_depth, k_depth)
+        stack.extend((c, bound, depth + 1, k_depth) for c in reversed(children(node)))
+    return FormulaInfo(tuple(free), frozenset(variables), tuple(atoms),
+                       modal_depth, quantifier_free, height)
 
 
-def validate_against(node: Formula, signature: Signature):
-    """Check every atom's predicate and arity; raises InputError on mismatch."""
-    if isinstance(node, Atom):
-        if node.predicate not in signature:
-            raise InputError(f"unknown predicate {node.predicate!r}")
-        expected = signature.arity(node.predicate)
-        if expected != len(node.args):
+def validate_against(node: Formula, signature: Signature) -> FormulaInfo:
+    """Check every atom's predicate and arity, raising InputError at the
+    first mismatch; returns the formula's ``classify`` facts."""
+    info = classify(node)
+    for atom in info.atoms:
+        if atom.predicate not in signature:
+            raise InputError(f"unknown predicate {atom.predicate!r}")
+        expected = signature.arity(atom.predicate)
+        if expected != len(atom.args):
             raise InputError(
-                f"predicate {node.predicate!r} expects {expected} arguments, "
-                f"got {len(node.args)}"
+                f"predicate {atom.predicate!r} expects {expected} arguments, "
+                f"got {len(atom.args)}"
             )
-    elif isinstance(node, Not):
-        validate_against(node.operand, signature)
-    elif isinstance(node, (And, Or, Implies, Iff)):
-        validate_against(node.left, signature)
-        validate_against(node.right, signature)
-    elif isinstance(node, (Forall, Exists)):
-        validate_against(node.body, signature)
-    elif isinstance(node, Know):
-        validate_against(node.body, signature)
-    elif not isinstance(node, (TrueFormula, FalseFormula)):
-        raise InputError(f"not a formula node: {node!r}")
+    return info
 
 
 # --- the history vocabulary ---------------------------------------------------
@@ -501,9 +452,9 @@ def standard_translation(node: Formula, hist_var: str) -> Formula:
     ``hist_var`` names the current history; each K nesting introduces a
     primed copy.  The history variables must not occur in the formula.
     """
-    depth = modal_depth(node)
-    needed = {hist_var + "'" * i for i in range(depth + 1)}
-    if needed & all_variables(node):
+    info = classify(node)
+    needed = {hist_var + "'" * i for i in range(info.modal_depth + 1)}
+    if needed & info.variables:
         raise VariableCaptureError(
             f"history variable {hist_var!r} (or a primed copy) occurs in the formula"
         )
@@ -514,16 +465,8 @@ def standard_translation(node: Formula, hist_var: str) -> Formula:
             for v in phi.args:
                 lifted = And(lifted, Atom(DOM_NAME, (y, v)))
             return lifted
-        if isinstance(phi, Not):
-            return Not(st(phi.operand, y))
-        if isinstance(phi, And):
-            return And(st(phi.left, y), st(phi.right, y))
-        if isinstance(phi, Or):
-            return Or(st(phi.left, y), st(phi.right, y))
-        if isinstance(phi, Implies):
-            return Implies(st(phi.left, y), st(phi.right, y))
-        if isinstance(phi, Iff):
-            return Iff(st(phi.left, y), st(phi.right, y))
+        if isinstance(phi, (Not, And, Or, Implies, Iff)):
+            return type(phi)(*(st(c, y) for c in children(phi)))
         if isinstance(phi, Forall):
             return Forall(phi.var, Implies(Atom(DOM_NAME, (y, phi.var)), st(phi.body, y)))
         if isinstance(phi, Exists):
@@ -532,24 +475,16 @@ def standard_translation(node: Formula, hist_var: str) -> Formula:
             nxt = y + "'"
             return Forall(nxt, Implies(Atom(knows_name(phi.agent), (y, nxt)),
                                        st(phi.body, nxt)))
-        if isinstance(phi, (TrueFormula, FalseFormula)):
-            return phi
-        raise InputError(f"not a formula node: {phi!r}")
+        return phi  # the constants; classify refused anything else
 
     return st(node, hist_var)
 
 
-def require_non_modal(node: Formula, context: str):
-    if _is_modal(node):
-        raise FragmentError(f"{context} must not contain knowledge operators")
-
-
 def fresh_history_var(node: Formula, base: str = "y") -> str:
     """A variable name whose primed copies avoid everything in ``node``."""
-    used = all_variables(node)
-    depth = modal_depth(node)
+    info = classify(node)
     candidates = [base] + [f"{base}{i}" for i in range(10)]
     for cand in candidates:
-        if all(cand + "'" * i not in used for i in range(depth + 1)):
+        if all(cand + "'" * i not in info.variables for i in range(info.modal_depth + 1)):
             return cand
     raise VariableCaptureError("could not find a collision-free history variable")

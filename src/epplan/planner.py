@@ -29,14 +29,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import automata as fa
-from .errors import FragmentError, InputError, ResourceLimitError
+from .errors import EmptyModelError, FragmentError, InputError, ResourceLimitError
 from .logic import (
     And,
     Atom,
     Formula,
     Signature,
-    classify,
-    free_variables,
     fresh_history_var,
     origin_name,
     standard_translation,
@@ -51,6 +49,7 @@ from .epistemic import (
     apply_event,
     history_structure,
     model_presentation,
+    product_update,
 )
 
 # Quotient computation refuses to collect more classes than this unless
@@ -292,12 +291,12 @@ def solution_automaton(model: EpistemicModel, world: str, action: ActionModel,
     """
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
-    validate_against(goal, model.signature)
-    if free_variables(goal):
+    info = validate_against(goal, model.signature)
+    if not info.closed:
         raise InputError("a planning goal must be a closed formula")
     quotient = _closed_quotient(model, action, cap, quotient)
     letters = model.worlds + action.events
-    if not classify(goal).modal:
+    if not info.modal:
         good = frozenset(cid for cid in quotient.automaton.reachable(world)
                          if _class_satisfies(model, quotient.classes[cid], goal))
         return quotient.automaton.history_automaton(
@@ -378,10 +377,10 @@ def bfs_plan(model: EpistemicModel, world: str, action: ActionModel,
     if max_depth < 0:
         raise InputError("max_depth must be >= 0")
     action.check_against(model.signature)
-    validate_against(goal, model.signature)
-    if free_variables(goal):
+    info = validate_against(goal, model.signature)
+    if not info.closed:
         raise InputError("a planning goal must be a closed formula")
-    if classify(goal).modal:
+    if info.modal:
         return _bfs_modal(model, world, action, goal, max_depth)
     return _bfs_classes(model, world, action, goal, max_depth)
 
@@ -419,9 +418,6 @@ def _bfs_classes(model: EpistemicModel, world: str, action: ActionModel,
 
 def _bfs_modal(model: EpistemicModel, world: str, action: ActionModel,
                goal: Formula, max_depth: int) -> PlanResult:
-    from .epistemic import product_update
-    from .errors import EmptyModelError
-
     cache = UpdateCache()
     y = fresh_history_var(goal)
     current = model

@@ -28,7 +28,6 @@ from .logic import (
     Signature,
     TrueFormula,
     classify,
-    free_variables,
     validate_against,
 )
 
@@ -176,12 +175,20 @@ class _Compiler:
                 return self.narrow(And(Not(inner.left), Not(inner.right)))
             a, vs = self.narrow(inner)
             return self.shrink(fa.boolean_combine(self.power(len(vs)), a, "minus")), vs
-        if isinstance(node, (And, Or)):
+        if isinstance(node, (And, Or, Iff)):
             a, va = self.narrow(node.left)
             b, vb = self.narrow(node.right)
             vs = va + tuple(v for v in vb if v not in va)
             if isinstance(node, Or):
                 out = fa.boolean_combine(self.lift(a, va, vs), self.lift(b, vb, vs), "or")
+            elif isinstance(node, Iff):
+                # (a ∧ b) ∨ (Dᵏ ∖ (a ∨ b)), so each side compiles once
+                a, b = self.lift(a, va, vs), self.lift(b, vb, vs)
+                either = self.shrink(fa.boolean_combine(a, b, "or"))
+                neither = self.shrink(
+                    fa.boolean_combine(self.power(len(vs)), either, "minus"))
+                both = self.shrink(fa.boolean_combine(a, b, "and"))
+                out = fa.boolean_combine(both, neither, "or")
             elif va == vb:
                 out = fa.boolean_combine(a, b, "and")
             else:
@@ -191,10 +198,6 @@ class _Compiler:
             return self.shrink(out), vs
         if isinstance(node, Implies):
             return self.narrow(Or(Not(node.left), node.right))
-        if isinstance(node, Iff):
-            return self.narrow(
-                And(Implies(node.left, node.right), Implies(node.right, node.left))
-            )
         if isinstance(node, Exists):
             a, vb = self.narrow(node.body)
             if node.var in vb:
@@ -221,10 +224,10 @@ def compile_formula(pres: AutomaticPresentation, node: Formula,
     Universal quantifiers go through double negation; every track of the
     result is restricted to domain words.
     """
-    validate_against(node, pres.signature)
+    info = validate_against(node, pres.signature)
     if len(set(scope)) != len(scope):
         raise InputError("scope variables must be distinct")
-    missing = [v for v in free_variables(node) if v not in scope]
+    missing = [v for v in info.free_vars if v not in scope]
     if missing:
         raise InputError(f"free variables {missing} are not in the scope")
     return _Compiler(pres).compile(node, tuple(scope))
@@ -267,10 +270,21 @@ def enumerate_domain(domain: fa.Automaton, limit: int = 10_000) -> list[fa.Word]
                 ready.append(d)
     if peeled < t.states:
         raise InfiniteDomainError("the domain automaton has a reachable cycle")
-    words = fa.enumerate_upto(t, t.states)
-    if len(words) > limit:
-        raise InfiniteDomainError(f"domain enumeration exceeded {limit} words")
-    return [w[0] for w in words]
+    # depth first, least letter first, so each word is met once; every
+    # prefix on the stack leads to a word, so the walk stops at limit + 1
+    out, key = fa._out_map(t), t.alphabet.label_key
+    words: list[fa.Word] = []
+    stack = [((), frozenset(t.initial))]
+    while stack:
+        word, states = stack.pop()
+        if states & t.accepting:
+            words.append(word)
+            if len(words) > limit:
+                raise InfiniteDomainError(f"domain enumeration exceeded {limit} words")
+        moves = fa._grouped(out, states)
+        stack.extend((word + label, frozenset(moves[label]))
+                     for label in sorted(moves, key=key, reverse=True) if label != (fa.PAD,))
+    return sorted(words, key=len)  # length-lex
 
 
 def brute_force_check(pres: AutomaticPresentation, node: Formula,
@@ -280,8 +294,7 @@ def brute_force_check(pres: AutomaticPresentation, node: Formula,
     This is the oracle route: it never builds formula automata, it just
     recurses over the syntax with an environment.
     """
-    validate_against(node, pres.signature)
-    info = classify(node)
+    info = validate_against(node, pres.signature)
     if info.modal:
         raise FragmentError("brute_force_check handles non-modal formulas only")
     domain = enumerate_domain(pres.domain)

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from epplan import automata as fa
+from epplan.errors import InputError
 from epplan.logic import (
     And,
     Atom,
@@ -593,3 +594,119 @@ def random_pre_action(rng, signature: Signature, alphabet: fa.Alphabet):
            for e in action.events if rng.random() < 0.7}
     return ActionModel(events=action.events, access=action.access, pre=pre,
                        post=action.post)
+
+
+# --- formula facts, one recursive walker each --------------------------------
+# The reference for ``logic.classify``, which gathers all of them in one
+# walk, and for ``logic.validate_against``.
+
+def _walk_free(node: Formula, bound: frozenset[str], acc: list[str]):
+    if isinstance(node, Atom):
+        for v in node.args:
+            if v not in bound and v not in acc:
+                acc.append(v)
+    elif isinstance(node, Not):
+        _walk_free(node.operand, bound, acc)
+    elif isinstance(node, (And, Or, Implies, Iff)):
+        _walk_free(node.left, bound, acc)
+        _walk_free(node.right, bound, acc)
+    elif isinstance(node, (Forall, Exists)):
+        _walk_free(node.body, bound | {node.var}, acc)
+    elif isinstance(node, Know):
+        _walk_free(node.body, bound, acc)
+
+
+def free_variables(node: Formula) -> tuple[str, ...]:
+    """Free variables in order of first free occurrence."""
+    acc: list[str] = []
+    _walk_free(node, frozenset(), acc)
+    return tuple(acc)
+
+
+def all_variables(node: Formula) -> frozenset[str]:
+    if isinstance(node, Atom):
+        return frozenset(node.args)
+    if isinstance(node, Not):
+        return all_variables(node.operand)
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return all_variables(node.left) | all_variables(node.right)
+    if isinstance(node, (Forall, Exists)):
+        return all_variables(node.body) | {node.var}
+    if isinstance(node, Know):
+        return all_variables(node.body)
+    return frozenset()
+
+
+def is_modal(node: Formula) -> bool:
+    if isinstance(node, Know):
+        return True
+    if isinstance(node, Not):
+        return is_modal(node.operand)
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return is_modal(node.left) or is_modal(node.right)
+    if isinstance(node, (Forall, Exists)):
+        return is_modal(node.body)
+    return False
+
+
+def has_quantifier(node: Formula) -> bool:
+    if isinstance(node, (Forall, Exists)):
+        return True
+    if isinstance(node, Not):
+        return has_quantifier(node.operand)
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return has_quantifier(node.left) or has_quantifier(node.right)
+    if isinstance(node, Know):
+        return has_quantifier(node.body)
+    return False
+
+
+def modal_depth(node: Formula) -> int:
+    if isinstance(node, Know):
+        return 1 + modal_depth(node.body)
+    if isinstance(node, Not):
+        return modal_depth(node.operand)
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return max(modal_depth(node.left), modal_depth(node.right))
+    if isinstance(node, (Forall, Exists)):
+        return modal_depth(node.body)
+    return 0
+
+
+def validate_against(node: Formula, signature: Signature):
+    """Check every atom's predicate and arity; raises InputError on mismatch."""
+    if isinstance(node, Atom):
+        if node.predicate not in signature:
+            raise InputError(f"unknown predicate {node.predicate!r}")
+        expected = signature.arity(node.predicate)
+        if expected != len(node.args):
+            raise InputError(
+                f"predicate {node.predicate!r} expects {expected} arguments, "
+                f"got {len(node.args)}"
+            )
+    elif isinstance(node, Not):
+        validate_against(node.operand, signature)
+    elif isinstance(node, (And, Or, Implies, Iff)):
+        validate_against(node.left, signature)
+        validate_against(node.right, signature)
+    elif isinstance(node, (Forall, Exists)):
+        validate_against(node.body, signature)
+    elif isinstance(node, Know):
+        validate_against(node.body, signature)
+    elif not isinstance(node, (TrueFormula, FalseFormula)):
+        raise InputError(f"not a formula node: {node!r}")
+
+
+def nesting_height(node: Formula) -> int:
+    """How deeply operators nest in a formula, found without recursion."""
+    height, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(node, Not):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, (Forall, Exists, Know)):
+            stack.append((node.body, depth + 1))
+    return height

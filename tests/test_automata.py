@@ -220,17 +220,6 @@ def test_substitute_tracks_validation():
         fa.substitute_tracks(auto, (1, 3), 2)
 
 
-def test_cylindrify_constrains_new_track_to_universe():
-    rel = {(("a",), ("b",))}
-    auto = oc.trie_relation(AB, 2, rel)
-    dom = oc.finite_domain(AB, [("a",), ("b", "b")])
-    wide = fa.cylindrify(auto, 2, dom)
-    assert fa.accepts(wide, (("a",), ("b", "b"), ("b",)))
-    assert fa.accepts(wide, (("a",), ("a",), ("b",)))
-    assert not fa.accepts(wide, (("a",), ("a", "a"), ("b",)))  # not in universe
-    assert not fa.accepts(wide, (("b",), ("a",), ("b",)))      # base fails
-
-
 @given(relation_st)
 def test_project_is_existential(rel):
     auto = oc.trie_relation(AB, 2, rel)

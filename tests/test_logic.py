@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles as oc
-from epplan.errors import FragmentError, InputError, ParseError, VariableCaptureError
+from epplan.errors import InputError, ParseError, VariableCaptureError
 from epplan.logic import (
     And,
     Atom,
@@ -18,19 +18,17 @@ from epplan.logic import (
     Signature,
     TRUE,
     FALSE,
-    all_variables,
+    children,
     classify,
     format_formula,
-    free_variables,
     fresh_history_var,
     hat_name,
     history_signature,
     knows_name,
-    modal_depth,
     origin_name,
     parse_formula,
-    require_non_modal,
     standard_translation,
+    validate_against,
 )
 
 SIG = Signature((("P", 1), ("Q", 2), ("R", 1)))
@@ -117,8 +115,9 @@ def test_round_trip_random_formulas():
 
 def test_free_variables_in_first_occurrence_order():
     phi = parse_formula("Q(z,y) & forall x. Q(x,z) & P(w)", SIG)
-    assert free_variables(phi) == ("z", "y", "w")
-    assert all_variables(phi) == {"x", "y", "z", "w"}
+    info = classify(phi)
+    assert info.free_vars == ("z", "y", "w")
+    assert info.variables == {"x", "y", "z", "w"}
 
 
 def test_classify_flags():
@@ -130,13 +129,64 @@ def test_classify_flags():
     assert not info.closed and info.quantifier_free and not info.modal
     modal = parse_formula("K[a] forall x. P(x)", SIG)
     assert classify(modal).modal
-    assert modal_depth(parse_formula("(K[a] K[b] P(x)) & K[a] true", SIG)) == 2
+    assert classify(parse_formula("(K[a] K[b] P(x)) & K[a] true", SIG)).modal_depth == 2
 
 
-def test_require_non_modal():
-    require_non_modal(parse_formula("P(x)", SIG), "precondition")
-    with pytest.raises(FragmentError):
-        require_non_modal(parse_formula("K[a] P(x)", SIG), "precondition")
+def test_children_are_the_immediate_subformulas_left_to_right():
+    p, q = Atom("P", ("x",)), Atom("Q", ("x", "y"))
+    assert children(Iff(p, q)) == (p, q)
+    assert children(Exists("x", p)) == (p,)
+    assert children(Know("a", p)) == (p,)
+    assert children(Not(p)) == (p,)
+    assert children(p) == children(TRUE) == ()
+    for bad in ("P", Not("P"), And(p, 3)):
+        with pytest.raises(InputError):
+            classify(bad)
+
+
+def _rejection(check, phi, signature):
+    try:
+        check(phi, signature)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+def test_classify_matches_the_recursive_walkers():
+    # every subformula of the draws, so open ones test the free-variable order
+    bad_sig = Signature((("P", 2), ("Q", 2)))  # R is unknown, P has the wrong arity
+    rng = random.Random(29)
+    seen = {"open": 0, "two free": 0, "modal": 0, "rejected": 0, "accepted": 0}
+    for _ in range(200):
+        stack = [oc.random_foel(rng, SIG, ("a", "b"), modal_depth=3)]
+        while stack:
+            phi = stack.pop()
+            stack.extend(children(phi))
+            info = classify(phi)
+            assert info.free_vars == oc.free_variables(phi), phi
+            assert info.variables == oc.all_variables(phi), phi
+            assert info.modal == oc.is_modal(phi)
+            assert info.modal_depth == oc.modal_depth(phi)
+            assert info.quantifier_free == (not oc.has_quantifier(phi))
+            assert info.height == oc.nesting_height(phi)
+            assert info.closed == (not oc.free_variables(phi))
+            assert validate_against(phi, SIG) == info
+            want = _rejection(oc.validate_against, phi, bad_sig)
+            assert _rejection(validate_against, phi, bad_sig) == want, phi
+            seen["open"] += not info.closed
+            seen["two free"] += len(info.free_vars) > 1
+            seen["modal"] += info.modal
+            seen["rejected" if want else "accepted"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_classify_walks_a_deep_chain_without_recursion():
+    phi = Atom("P", ("x",))
+    for _ in range(5000):
+        phi = Not(phi)
+    info = validate_against(phi, SIG)
+    assert info.height == 5000 and info.free_vars == ("x",)
+    assert info.atoms == (Atom("P", ("x",)),) and not info.modal
 
 
 # --- the history signature and translation ---------------------------------------
@@ -185,7 +235,7 @@ def test_translation_rejects_capture():
     assert fresh_history_var(phi) != "y"
     deep = Know("a", Know("b", Atom("P", ("x",))))
     v = fresh_history_var(deep)
-    assert {v, v + "'", v + "''"} & all_variables(deep) == set()
+    assert {v, v + "'", v + "''"} & classify(deep).variables == set()
 
 
 def test_translation_output_is_non_modal():

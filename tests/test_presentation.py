@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -227,6 +228,26 @@ def test_compile_agrees_with_brute_force_on_open_formulas():
                 pres, phi, dict(zip(scope, words))), (phi, scope, words)
 
 
+def test_a_biconditional_compiles_each_side_once(monkeypatch):
+    sig = Signature((("Q", 0),))
+    dom = oc.finite_domain(AB, [("a",)])
+    real, calls = fa.boolean_combine, []
+    monkeypatch.setattr(fa, "boolean_combine",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    counts = {}
+    for n in (6, 12):
+        for truth in (True, False):
+            q = fa.epsilon_automaton(AB, 0) if truth else fa.empty_automaton(AB, 0)
+            pres = AutomaticPresentation(sig, AB, dom, {"Q": q})
+            chain = parse_formula(" <-> ".join(["Q"] * n), sig)
+            calls.clear()
+            # the chain nests to the right, so with Q false it holds iff n is even
+            assert check_sentence(pres, chain) == (truth or n % 2 == 0)
+            counts[n, truth] = len(calls)
+    for truth in (True, False):
+        assert counts[12, truth] <= 3 * counts[6, truth], counts
+
+
 # --- enumeration --------------------------------------------------------------------
 
 def test_enumerate_domain_lists_every_word():
@@ -251,6 +272,14 @@ def test_enumerate_domain_respects_the_limit():
     dom = oc.finite_domain(AB, [(c1, c2) for c1 in "ab" for c2 in "ab"])
     with pytest.raises(InfiniteDomainError):
         enumerate_domain(dom, limit=3)
+
+
+def test_enumerate_domain_stops_at_the_limit():
+    dom = fa.regex_to_automaton("(a|b)" * 22, AB)  # 2^22 words
+    start = time.perf_counter()
+    with pytest.raises(InfiniteDomainError):
+        enumerate_domain(dom, limit=1000)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_brute_force_check_needs_full_assignments():
