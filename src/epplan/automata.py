@@ -22,6 +22,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     MAX_NESTING,
@@ -39,6 +40,9 @@ STATE_CAP = 1_000_000
 Word = tuple[str, ...]
 Label = tuple[str, ...]
 Transition = tuple[int, Label, int]
+
+_SRC, _LABEL, _DST = itemgetter(0), itemgetter(1), itemgetter(2)
+_SOURCE_LABEL = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,43 @@ class Automaton:
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         if self.tracks < 0:
             raise InputError("track count must be >= 0")
+        # every construction is checked, so the checks run as C-level
+        # passes; only a failing one walks the edges again, to name the fault
+        try:
+            sound = self._sound()
+        except (TypeError, IndexError):  # odd values: let the loop judge them
+            sound = False
+        if not sound:
+            self._check_one_by_one()
+        if self.deterministic and len(self.initial) != 1:
+            raise InputError("deterministic flag requires exactly one initial state")
+
+    def _sound(self) -> bool:
+        """Whether every state and edge is well formed, without a per-edge
+        Python loop and without collecting the distinct labels."""
+        ends = self.initial | self.accepting
+        if ends and not (min(ends) >= 0 and max(ends) < self.states):
+            return False
+        edges = self.transitions
+        if not edges:
+            return True
+        if not (min(map(_SRC, edges)) >= 0 and max(map(_SRC, edges)) < self.states
+                and min(map(_DST, edges)) >= 0 and max(map(_DST, edges)) < self.states):
+            return False
+        if (set(map(type, map(_LABEL, edges))) != {tuple}
+                or set(map(len, map(_LABEL, edges))) != {self.tracks}):
+            return False
+        symbols = set(itertools.chain.from_iterable(map(_LABEL, edges)))
+        symbols.discard(PAD)
+        if not symbols <= self.alphabet._index.keys():
+            return False
+        if (PAD,) * self.tracks in map(_LABEL, edges):
+            return False
+        return not self.deterministic or len(set(map(_SOURCE_LABEL, edges))) == len(edges)
+
+    def _check_one_by_one(self):
+        """The same checks state by state and edge by edge; raises for the
+        first fault in iteration order."""
         for s in self.initial | self.accepting:
             if not 0 <= s < self.states:
                 raise InputError(f"state {s} out of range")
@@ -125,8 +166,6 @@ class Automaton:
                 if (src, label) in seen:
                     raise InputError("deterministic flag set but transitions branch")
                 seen.add((src, label))
-        if self.deterministic and len(self.initial) != 1:
-            raise InputError("deterministic flag requires exactly one initial state")
 
     def __repr__(self):  # keep test failure output readable
         return (
@@ -443,60 +482,96 @@ def complement(a: Automaton) -> Automaton:
 _JOIN_DONE = -1  # a component whose tracks have all run out of letters
 
 
-def track_join(alphabet: Alphabet, tracks: int,
-               components: list[tuple[Automaton, tuple[int, ...]]],
-               wild: tuple[int, ...] = ()) -> Automaton:
-    """Synchronous product of automata each reading its own 0-based track
-    positions; ``wild`` positions range over every symbol.
+def _picker(indices: tuple[int, ...]):
+    """A function taking a sequence to the tuple of its items at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
-    Walks only labels the components actually have, so nothing here is
-    proportional to |alphabet|^tracks.  Suffix-only padding is enforced
-    with a per-position mask, and a finished component keeps consuming
-    all-pad sub-labels.
+
+def track_join(alphabet: Alphabet, tracks: int,
+               components: list[tuple[Automaton, tuple[int, ...]]]) -> Automaton:
+    """Synchronous product of automata each reading its own 0-based track
+    positions; every position must be read by some component.
+
+    A hash join at each product state: a component's moves are indexed by
+    the symbols they put on positions an earlier component already fixed,
+    and a partial label is extended only by the moves that agree with it,
+    in the order the full product of moves would list them.  Walks only
+    labels the components actually have, so nothing here is proportional
+    to |alphabet|^tracks.  Suffix-only padding is enforced with a
+    per-position mask, and a finished component keeps consuming all-pad
+    sub-labels.
     """
     outs = [_out_map(c) for c, _ in components]
-    symbols = alphabet.letters + (PAD,)
+    # A partial label holds one symbol per slot, slots in the order their
+    # positions are first read.  Per component: which of its symbols form
+    # the join key and which slots they must match, which pairs of its
+    # symbols read one position twice, and which symbols fill new slots.
+    slot_of: dict[int, int] = {}
+    shapes = []
+    for _, positions in components:
+        keyed, slots, twice, fresh, first = [], [], [], [], {}
+        for j, pos in enumerate(positions):
+            if pos in first:
+                twice.append((j, first[pos]))
+                continue
+            first[pos] = j
+            if pos in slot_of:
+                keyed.append(j)
+                slots.append(slot_of[pos])
+            else:
+                slot_of[pos] = len(slot_of)
+                fresh.append(j)
+        shapes.append((_picker(tuple(keyed)), _picker(tuple(slots)), twice,
+                       _picker(tuple(fresh))))
+    arrange = _picker(tuple(slot_of[p] for p in range(tracks)))
+    indexes: dict[tuple[int, int], dict] = {}
 
-    def steps(index: int, state: int):
-        auto, positions = components[index]
+    def index(i: int, state: int) -> dict:
+        """Component ``i``'s moves at ``state`` as ``(fresh symbols, next
+        state)``, bucketed by join key; built once per call."""
+        if (i, state) in indexes:
+            return indexes[i, state]
+        auto, positions = components[i]
+        key_of, _, twice, fresh_of = shapes[i]
         pad_sub = (PAD,) * len(positions)
         if state == _JOIN_DONE:
-            return [(pad_sub, _JOIN_DONE)]
-        found = [(lab, dst)
-                 for lab, dsts in outs[index].get(state, {}).items()
-                 for dst in dsts]
-        if state in auto.accepting:
-            found.append((pad_sub, _JOIN_DONE))
-        return found
+            steps = [(pad_sub, _JOIN_DONE)]
+        else:
+            steps = [(lab, dst)
+                     for lab, dsts in outs[i].get(state, {}).items()
+                     for dst in dsts]
+            if state in auto.accepting:
+                steps.append((pad_sub, _JOIN_DONE))
+        buckets: dict = {}
+        for sub, dst in steps:
+            if all(sub[j] == sub[k] for j, k in twice):
+                buckets.setdefault(key_of(sub), []).append((fresh_of(sub), dst))
+        indexes[i, state] = buckets
+        return buckets
 
-    def placed(choice) -> list[str | None] | None:
-        """The chosen sub-labels at their positions; None when repeated
-        positions disagree."""
-        label: list[str | None] = [None] * tracks
-        for (sub, _), (_, positions) in zip(choice, components):
-            for sym, pos in zip(sub, positions):
-                if label[pos] not in (None, sym):
-                    return None
-                label[pos] = sym
-        return label
+    pad_all = (PAD,) * tracks
+    pads_of: dict[Label, frozenset[int]] = {}
 
     def moves(key):
         combo, padded = key
-        for choice in itertools.product(*(steps(i, q) for i, q in enumerate(combo))):
-            base = placed(choice)
-            if base is None:
-                continue
-            nxt_combo = tuple(dst for _, dst in choice)
-            for fill in itertools.product(symbols, repeat=len(wild)):
-                full = list(base)
-                for sym, pos in zip(fill, wild):
-                    full[pos] = sym
-                if all(s == PAD for s in full):
-                    continue
-                if any(full[pos] != PAD for pos in padded):
-                    continue  # a padded track may not resume
-                new_padded = padded | {p for p, s in enumerate(full) if s == PAD}
-                yield tuple(full), (nxt_combo, new_padded)
+        partial = [((), ())]
+        for i, q in enumerate(combo):
+            buckets, wanted = index(i, q), shapes[i][1]
+            partial = [(syms + fresh, nxt + (dst,))
+                       for syms, nxt in partial
+                       for fresh, dst in buckets.get(wanted(syms), ())]
+        for syms, nxt in partial:
+            label = arrange(syms)
+            pads = pads_of.get(label)
+            if pads is None:
+                pads = pads_of[label] = _pads(label)
+            if padded <= pads and label != pad_all:  # a padded track may not resume
+                yield label, (nxt, pads)
 
     bld = _Builder(alphabet, tracks)
     start = [(combo, frozenset())
@@ -512,9 +587,9 @@ def substitute_tracks(a: Automaton, sigma: tuple[int, ...], tracks: int,
     """Reindex tracks: the result accepts (w1..wk) iff (w_sigma(1)..w_sigma(m))
     is accepted by ``a``.
 
-    ``sigma`` is 1-based, need not be injective, and need not be onto;
-    tracks outside its range are unconstrained except for membership in
-    ``universe`` when one is supplied.
+    ``sigma`` is 1-based and need not be injective.  Tracks outside its
+    range are constrained only by membership in ``universe``, which must
+    be given when there are any.
     """
     if len(sigma) != a.tracks:
         raise TrackMismatchError(f"sigma has {len(sigma)} entries, automaton {a.tracks} tracks")
@@ -524,13 +599,12 @@ def substitute_tracks(a: Automaton, sigma: tuple[int, ...], tracks: int,
         raise TrackMismatchError("universe must be a one-track automaton")
 
     free = tuple(p for p in range(tracks) if (p + 1) not in sigma)
+    if free and universe is None:
+        raise InputError(f"sigma leaves tracks {[p + 1 for p in free]} unmapped "
+                         "and no universe ranges over them")
     components = [(a, tuple(t - 1 for t in sigma))]
-    if universe is not None:
-        components.extend((universe, (p,)) for p in free)
-        wild: tuple[int, ...] = ()
-    else:
-        wild = free
-    return track_join(a.alphabet, tracks, components, wild)
+    components.extend((universe, (p,)) for p in free)
+    return track_join(a.alphabet, tracks, components)
 
 
 def project(a: Automaton, position: int) -> Automaton:

@@ -30,6 +30,7 @@ from .logic import (
     Atom,
     Formula,
     Signature,
+    check_nesting,
     classify,
     format_formula,
     fresh_history_var,
@@ -479,6 +480,7 @@ def eval_foel(model: EpistemicModel, world: str, phi: Formula,
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
     info = validate_against(phi, model.signature)
+    check_nesting(info)
     assignment = assignment or {}
     for var in info.free_vars:
         if var not in assignment:

@@ -410,6 +410,16 @@ def validate_against(node: Formula, signature: Signature) -> FormulaInfo:
     return info
 
 
+def check_nesting(info: FormulaInfo) -> None:
+    """Refuse a formula that nests deeper than ``MAX_NESTING`` levels, as
+    the parser does; the translation and compilation passes recurse once
+    per level.  For formulas built through the API, at the calls that
+    take them in: formulas derived from them, such as a standard
+    translation, may nest deeper."""
+    if info.height > MAX_NESTING:
+        raise InputError(f"formula nests deeper than {MAX_NESTING} levels")
+
+
 # --- the history vocabulary ---------------------------------------------------
 
 # Derived predicate names use "^", which the surface syntax cannot produce,

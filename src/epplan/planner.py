@@ -35,6 +35,7 @@ from .logic import (
     Atom,
     Formula,
     Signature,
+    check_nesting,
     fresh_history_var,
     origin_name,
     standard_translation,
@@ -292,6 +293,7 @@ def solution_automaton(model: EpistemicModel, world: str, action: ActionModel,
     if world not in model.worlds:
         raise InputError(f"unknown world {world!r}")
     info = validate_against(goal, model.signature)
+    check_nesting(info)
     if not info.closed:
         raise InputError("a planning goal must be a closed formula")
     quotient = _closed_quotient(model, action, cap, quotient)
@@ -378,6 +380,7 @@ def bfs_plan(model: EpistemicModel, world: str, action: ActionModel,
         raise InputError("max_depth must be >= 0")
     action.check_against(model.signature)
     info = validate_against(goal, model.signature)
+    check_nesting(info)
     if not info.closed:
         raise InputError("a planning goal must be a closed formula")
     if info.modal:

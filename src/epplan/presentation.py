@@ -27,6 +27,7 @@ from .logic import (
     Or,
     Signature,
     TrueFormula,
+    check_nesting,
     classify,
     validate_against,
 )
@@ -83,6 +84,8 @@ def domain_power(domain: fa.Automaton, tracks: int) -> fa.Automaton:
     """All k-tuples of domain words, as a k-track automaton."""
     if tracks == 0:
         return fa.epsilon_automaton(domain.alphabet, 0)
+    if tracks == 1:
+        return domain  # the identity substitution; one track has no pads to filter
     # one fused join; building the power track by track squares the work
     return fa.substitute_tracks(domain, (1,), tracks, domain)
 
@@ -124,6 +127,15 @@ class _Compiler:
     ``a ∧ ¬b`` and ``¬(a ∨ b)`` is ``¬a ∧ ¬b``.  Through the double
     negation of ``∀``, a guarded ``∀y. g → ψ`` thus compiles as
     ``¬∃y. (g ∧ ¬ψ)``, complementing only ``ψ`` and the projection.
+
+    An atom with distinct arguments compiles to its relation automaton
+    as it stands: its tracks already are its free variables in order of
+    first occurrence.  Substituting that identity would only drop the
+    strings that are not valid convolutions and trim, and by the
+    presentation contract the relation accepts no such string.
+    Nothing downstream needs it done: the pad mask of ``track_join``,
+    ``project``, ``is_empty``, ``canonicalize`` and the difference from
+    the domain power all read valid convolutions only.
     """
 
     def __init__(self, pres: AutomaticPresentation):
@@ -160,6 +172,8 @@ class _Compiler:
         if isinstance(node, Atom):
             rel = self.pres.relations[node.predicate]
             vars_ = tuple(dict.fromkeys(node.args))
+            if vars_ == node.args:  # distinct: the identity substitution, see above
+                return self.shrink(rel), vars_
             sigma = tuple(vars_.index(v) + 1 for v in node.args)
             a = self.shrink(
                 fa.substitute_tracks(rel, sigma, len(vars_), self.pres.domain)
@@ -244,6 +258,7 @@ def defined_relation(pres: AutomaticPresentation, node: Formula,
 def check_sentence(pres: AutomaticPresentation, node: Formula) -> bool:
     """Truth of a closed non-modal formula in the presented structure."""
     info = classify(node)
+    check_nesting(info)
     if not info.closed:
         raise InputError(f"not a sentence; free variables {info.free_vars}")
     if info.modal:
@@ -295,6 +310,7 @@ def brute_force_check(pres: AutomaticPresentation, node: Formula,
     recurses over the syntax with an environment.
     """
     info = validate_against(node, pres.signature)
+    check_nesting(info)
     if info.modal:
         raise FragmentError("brute_force_check handles non-modal formulas only")
     domain = enumerate_domain(pres.domain)

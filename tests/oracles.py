@@ -4,6 +4,8 @@ Everything here is deliberately naive: explicit enumeration over small
 finite sets, hand-written membership predicates, direct simulation of
 machine steps.  Nothing routes through the package's automata algebra
 beyond the raw ``Automaton`` constructor, so agreement is meaningful.
+The one exception is ``product_track_join``, which numbers and trims its
+states with the package's builder so that results compare with ``==``.
 """
 
 from __future__ import annotations
@@ -175,6 +177,75 @@ def renumber_states(a: fa.Automaton, perm: list[int]) -> fa.Automaton:
         frozenset(perm[q] for q in a.accepting),
         frozenset((perm[s], lab, perm[d]) for s, lab, d in a.transitions),
     )
+
+
+def product_track_join(alphabet: fa.Alphabet, tracks: int,
+                       components: list[tuple[fa.Automaton, tuple[int, ...]]],
+                       wild: tuple[int, ...] = ()) -> fa.Automaton:
+    """Synchronous product of automata each reading its own 0-based track
+    positions; ``wild`` positions range over every symbol.
+
+    The reference for ``automata.track_join``: every combination of the
+    components' moves, then a filter on the positions they share.  It
+    explores and trims with the package's own builder, so its result can
+    be compared with ``==``.
+
+    Walks only labels the components actually have, so nothing here is
+    proportional to |alphabet|^tracks.  Suffix-only padding is enforced
+    with a per-position mask, and a finished component keeps consuming
+    all-pad sub-labels.
+    """
+    outs = [fa._out_map(c) for c, _ in components]
+    symbols = alphabet.letters + (fa.PAD,)
+
+    def steps(index: int, state: int):
+        auto, positions = components[index]
+        pad_sub = (fa.PAD,) * len(positions)
+        if state == fa._JOIN_DONE:
+            return [(pad_sub, fa._JOIN_DONE)]
+        found = [(lab, dst)
+                 for lab, dsts in outs[index].get(state, {}).items()
+                 for dst in dsts]
+        if state in auto.accepting:
+            found.append((pad_sub, fa._JOIN_DONE))
+        return found
+
+    def placed(choice) -> list[str | None] | None:
+        """The chosen sub-labels at their positions; None when repeated
+        positions disagree."""
+        label: list[str | None] = [None] * tracks
+        for (sub, _), (_, positions) in zip(choice, components):
+            for sym, pos in zip(sub, positions):
+                if label[pos] not in (None, sym):
+                    return None
+                label[pos] = sym
+        return label
+
+    def moves(key):
+        combo, padded = key
+        for choice in itertools.product(*(steps(i, q) for i, q in enumerate(combo))):
+            base = placed(choice)
+            if base is None:
+                continue
+            nxt_combo = tuple(dst for _, dst in choice)
+            for fill in itertools.product(symbols, repeat=len(wild)):
+                full = list(base)
+                for sym, pos in zip(fill, wild):
+                    full[pos] = sym
+                if all(s == fa.PAD for s in full):
+                    continue
+                if any(full[pos] != fa.PAD for pos in padded):
+                    continue  # a padded track may not resume
+                new_padded = padded | {p for p, s in enumerate(full) if s == fa.PAD}
+                yield tuple(full), (nxt_combo, new_padded)
+
+    bld = fa._Builder(alphabet, tracks)
+    start = [(combo, frozenset())
+             for combo in itertools.product(*(c.initial for c, _ in components))]
+    seen = bld.explore(start, moves)
+    accepting = [key for key in seen if all(q == fa._JOIN_DONE or q in c.accepting
+                                            for q, (c, _) in zip(key[0], components))]
+    return fa.trim(bld.build(start, accepting))
 
 
 # --- naive semantics over explicit structures --------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +48,48 @@ def test_automaton_rejects_bad_labels():
     with pytest.raises(InputError):
         fa.Automaton(1, AB, 1, frozenset({0}), frozenset({0}),
                      frozenset({(0, ("a",), 5)}))
+
+
+# a deterministic 2-track base: 30 states, every non-all-pad label once per state
+CHECK_STATES = 30
+CHECK_LABELS = [lab for lab in itertools.product(("a", "b", fa.PAD), repeat=2)
+                if lab != (fa.PAD, fa.PAD)]
+CHECK_EDGES = frozenset((s, lab, (s + 1) % CHECK_STATES)
+                        for s in range(CHECK_STATES) for lab in CHECK_LABELS)
+
+# one fault each, hidden among the base edges: (initial, accepting, extra
+# edge, deterministic) and the exception that names the fault
+MALFORMED = [
+    ({0}, {1}, (-1, ("a", "a"), 0), False,
+     InputError, "transition endpoint out of range"),
+    ({0}, {1}, (3, ("a", "b"), CHECK_STATES), False,
+     InputError, "transition endpoint out of range"),
+    ({0}, {1, CHECK_STATES + 4}, None, False,
+     InputError, f"state {CHECK_STATES + 4} out of range"),
+    ({0}, {1}, (2, ("a",), 5), False,
+     TrackMismatchError, "label ('a',) has 1 tracks, automaton has 2"),
+    ({0}, {1}, (4, (fa.PAD, fa.PAD), 5), False,
+     InputError, "the all-pad tuple may not label a transition"),
+    ({0}, {1}, (4, fa.PAD * 2, 5), False,  # a label given as a string
+     InputError, "the all-pad tuple may not label a transition"),
+    ({0}, {1}, (6, ("a", "c"), 7), False,
+     InputError, "label symbol 'c' not in alphabet"),
+    ({0}, {1}, (8, ("b", fa.PAD), 2), True,
+     InputError, "deterministic flag set but transitions branch"),
+    ({0, 1}, {1}, None, True,
+     InputError, "deterministic flag requires exactly one initial state"),
+]
+
+
+def test_construction_checks_name_every_fault():
+    assert len(CHECK_EDGES) >= 200
+    fa.Automaton(2, AB, CHECK_STATES, {0}, {1}, CHECK_EDGES, deterministic=True)
+    for initial, accepting, extra, deterministic, kind, message in MALFORMED:
+        edges = CHECK_EDGES | ({extra} if extra else set())
+        with pytest.raises(kind, match=f"^{re.escape(message)}$") as info:
+            fa.Automaton(2, AB, CHECK_STATES, frozenset(initial), frozenset(accepting),
+                         edges, deterministic=deterministic)
+        assert type(info.value) is kind
 
 
 def test_boolean_combine_rejects_mismatched_operands():
@@ -218,6 +261,53 @@ def test_substitute_tracks_validation():
         fa.substitute_tracks(auto, (1,), 2)
     with pytest.raises(InputError):
         fa.substitute_tracks(auto, (1, 3), 2)
+
+
+def test_substitute_tracks_needs_a_universe_for_unmapped_tracks():
+    auto = oc.finite_domain(AB, [("a",), ("b", "a")])
+    with pytest.raises(InputError, match=r"leaves tracks \[2\] unmapped"):
+        fa.substitute_tracks(auto, (1,), 2)
+    pairs = fa.substitute_tracks(auto, (1,), 2, fa.universal_words(AB))
+    assert fa.accepts(pairs, (("b", "a"), ("b", "b", "b")))
+    assert not fa.accepts(pairs, (("b",), ()))
+
+
+def random_word(rng) -> tuple[str, ...]:
+    return tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+
+
+def join_component(rng, width: int) -> fa.Automaton:
+    """A random NFA, or the trie of a few random tuples of short words."""
+    if rng.random() < 0.5:
+        return oc.random_nfa(rng, width, max_states=5)
+    return oc.trie_relation(AB, width, {tuple(random_word(rng) for _ in range(width))
+                                        for _ in range(rng.randint(1, 4))})
+
+
+def test_hash_join_matches_the_product_join():
+    rng = random.Random(1207)
+    seen = {"repeated": 0, "overlapping": 0, "disjoint": 0, "padded early": 0}
+    for _ in range(240):
+        tracks = rng.randint(1, 3)
+        components = []
+        for _ in range(rng.randint(1, 3)):
+            positions = tuple(rng.randrange(tracks) for _ in range(rng.randint(1, 2)))
+            components.append((join_component(rng, len(positions)), positions))
+        read = {p for _, positions in components for p in positions}
+        components.extend((join_component(rng, 1), (p,))
+                          for p in range(tracks) if p not in read)
+        joined = fa.track_join(AB, tracks, components)
+        assert joined == oc.product_track_join(AB, tracks, components)
+        reads = [set(positions) for _, positions in components]
+        seen["repeated"] += any(len(set(p)) < len(p) for _, p in components)
+        seen["overlapping"] += any(a & b for a, b in itertools.combinations(reads, 2))
+        seen["disjoint"] += any(not a & b for a, b in itertools.combinations(reads, 2))
+        # a component's own sub-labels are never all-pad, so an all-pad one
+        # means it accepted early and the join pads its tracks
+        seen["padded early"] += any(all(lab[p] == fa.PAD for p in positions)
+                                    for _, lab, _ in joined.transitions
+                                    for _, positions in components)
+    assert min(seen.values()) >= 20, seen
 
 
 @given(relation_st)

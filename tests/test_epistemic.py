@@ -5,7 +5,7 @@ import pytest
 
 import oracles as oc
 from epplan import automata as fa
-from epplan.errors import EmptyModelError, FragmentError, InputError
+from epplan.errors import MAX_NESTING, EmptyModelError, FragmentError, InputError
 from epplan.epistemic import (
     ActionModel,
     EpistemicModel,
@@ -23,7 +23,8 @@ from epplan.epistemic import (
     model_to_json,
     product_update,
 )
-from epplan.logic import Signature, parse_formula
+from epplan.logic import Not, Signature, parse_formula
+from epplan.planner import bfs_plan, decide_plan
 from epplan.presentation import validate
 
 AB = fa.Alphabet(("a", "b"))
@@ -225,6 +226,25 @@ def test_eval_foel_input_errors():
         eval_foel(model, "u", parse_formula("P(x)", SIG))
     with pytest.raises(InputError):
         eval_foel(model, "u", parse_formula("P(x)", SIG), {"x": ("a", "a", "a")})
+
+
+def test_formulas_nested_past_the_bound_are_refused():
+    model = coin_model()
+    phi = parse_formula("exists x. P(x)", SIG)
+    for _ in range(5000):
+        phi = Not(phi)
+    for call in (lambda: eval_foel(model, "u", phi),
+                 lambda: decide_plan(model, "u", flip_or_wait(), phi),
+                 lambda: bfs_plan(model, "u", flip_or_wait(), phi, 2)):
+        with pytest.raises(InputError, match=f"nests deeper than {MAX_NESTING} levels"):
+            call()
+    # at the bound itself every call still answers: P never empties
+    phi = parse_formula("exists x. P(x)", SIG)
+    for _ in range(MAX_NESTING - 1):
+        phi = Not(phi)
+    assert eval_foel(model, "u", phi) is False
+    assert decide_plan(model, "u", flip_or_wait(), phi).answer == "no"
+    assert bfs_plan(model, "u", flip_or_wait(), phi, 2).answer == "unknown"
 
 
 def test_eval_foel_agrees_with_naive_evaluation():

@@ -6,7 +6,7 @@ import pytest
 
 import oracles as oc
 from epplan import automata as fa
-from epplan.errors import FragmentError, InfiniteDomainError, InputError
+from epplan.errors import MAX_NESTING, FragmentError, InfiniteDomainError, InputError
 from epplan.logic import And, Atom, Forall, Implies, Not, Or, Signature, parse_formula
 from epplan.presentation import (
     AutomaticPresentation,
@@ -57,6 +57,38 @@ def test_domain_power():
     assert not fa.accepts(square, (("a",), ("a", "a")))
     zero = domain_power(dom, 0)
     assert not fa.is_empty(zero)
+
+
+def test_atoms_with_distinct_arguments_skip_the_substitution(monkeypatch):
+    pres = small_presentation()
+    substitute = fa.substitute_tracks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return substitute(*args, **kwargs)
+
+    monkeypatch.setattr(fa, "substitute_tracks", counted)
+    # over scope (x) or (x, y); E(y, x) is reordered when lifted to the scope
+    for args, sigma, want in [(("x",), (1,), 0), (("x", "y"), (1, 2), 0),
+                              (("y", "x"), (2, 1), 1), (("x", "x"), (1, 1), 1)]:
+        pred = "P" if len(args) == 1 else "E"
+        scope = tuple(sorted(set(args)))
+        calls.clear()
+        got = compile_formula(pres, Atom(pred, args), scope)
+        assert len(calls) == want, args
+        routed = substitute(pres.relations[pred], sigma, len(scope), pres.domain)
+        assert fa.equivalent(got, routed), args
+
+
+def test_sentences_nested_past_the_bound_are_refused():
+    pres = small_presentation()
+    phi = parse_formula("exists x. P(x)", pres.signature)
+    for _ in range(5000):
+        phi = Not(phi)
+    for check in (check_sentence, brute_force_check):
+        with pytest.raises(InputError, match=f"nests deeper than {MAX_NESTING} levels"):
+            check(pres, phi)
 
 
 def test_validate_passes_a_clean_presentation():
