@@ -13,7 +13,11 @@ exactly when their canonical forms are equal.
 
 Every construction that discovers its states runs one breadth-first
 loop, ``_Builder.explore``, bounded by one cap: past ``STATE_CAP`` states
-it raises ``ResourceLimitError``.  Every reachability closure is ``_closure``.
+it raises ``ResourceLimitError``.  Each builds one automaton, its result;
+``_Builder.trimmed`` emits only the live states.  One pad walk on (state,
+tracks padded so far) keys, ``_pad_walk``, keeps the filter, projection,
+emptiness and witnesses to valid convolutions, and ``canonicalize`` tracks
+pads in its subset construction.  Every reachability closure is ``_closure``.
 """
 from __future__ import annotations
 
@@ -236,6 +240,12 @@ class _Builder:
             deterministic=deterministic,
         )
 
+    def trimmed(self, initial_keys, accepting_keys) -> Automaton:
+        """``trim(self.build(initial_keys, accepting_keys))``, built once."""
+        initial = {self.state(k) for k in initial_keys}
+        accepting = {self.ids[k] for k in accepting_keys if k in self.ids}
+        return _trimmed(self.alphabet, self.tracks, initial, accepting, self.edges)
+
 
 def empty_automaton(alphabet: Alphabet, tracks: int) -> Automaton:
     return Automaton(tracks, alphabet, 1, frozenset({0}), frozenset(), frozenset())
@@ -274,11 +284,10 @@ def valid_convolutions(alphabet: Alphabet, tracks: int) -> Automaton:
     return b.build([frozenset()], seen)
 
 
-def _pad_filter(a: Automaton) -> Automaton:
-    """``a`` intersected with the valid convolutions, walking only the
-    labels ``a`` actually has; never proportional to |letters|^k."""
-    if a.tracks == 0:
-        return a
+def _pad_walk(a: Automaton) -> tuple[_Builder, list, list]:
+    """Walk ``a`` on ``(state, tracks padded so far)`` keys along the labels
+    that keep a convolution valid, never proportional to |letters|^k.
+    Returns the builder, the start keys and the accepting keys reached."""
     out = _out_map(a)
 
     def moves(key):
@@ -292,7 +301,15 @@ def _pad_filter(a: Automaton) -> Automaton:
     bld = _Builder(a.alphabet, a.tracks)
     start = [(q, frozenset()) for q in a.initial]
     seen = bld.explore(start, moves)
-    return bld.build(start, [key for key in seen if key[0] in a.accepting])
+    return bld, start, [key for key in seen if key[0] in a.accepting]
+
+
+def _pad_filter(a: Automaton) -> Automaton:
+    """``a`` intersected with the valid convolutions."""
+    if a.tracks == 0:
+        return a
+    bld, start, accepting = _pad_walk(a)
+    return bld.build(start, accepting)
 
 
 def convolve(words: tuple[Word, ...]) -> list[Label]:
@@ -343,29 +360,29 @@ def _closure(seeds, adjacency: dict) -> set:
     return seen
 
 
-def trim(a: Automaton) -> Automaton:
-    """Drop states that are unreachable or cannot reach acceptance."""
+def _trimmed(alphabet: Alphabet, tracks: int, initial, accepting, edges) -> Automaton:
+    """The automaton of these parts cut down to the states that are
+    reachable and can reach acceptance, renumbered in sorted order."""
     fwd: dict[int, set[int]] = {}
     bwd: dict[int, set[int]] = {}
-    for src, _, dst in a.transitions:
+    for src, _, dst in edges:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
-    reach = _closure(a.initial, fwd)
-    co = _closure(a.accepting, bwd)
-    alive = sorted(reach & co)
+    alive = sorted(_closure(initial, fwd) & _closure(accepting, bwd))
     if not alive:
-        return empty_automaton(a.alphabet, a.tracks)
+        return empty_automaton(alphabet, tracks)
     ids = {q: i for i, q in enumerate(alive)}
     return Automaton(
-        a.tracks,
-        a.alphabet,
-        len(alive),
-        frozenset(ids[q] for q in a.initial if q in ids),
-        frozenset(ids[q] for q in a.accepting if q in ids),
-        frozenset(
-            (ids[s], lab, ids[d]) for s, lab, d in a.transitions if s in ids and d in ids
-        ),
+        tracks, alphabet, len(alive),
+        frozenset(ids[q] for q in initial if q in ids),
+        frozenset(ids[q] for q in accepting if q in ids),
+        frozenset((ids[s], lab, ids[d]) for s, lab, d in edges if s in ids and d in ids),
     )
+
+
+def trim(a: Automaton) -> Automaton:
+    """Drop states that are unreachable or cannot reach acceptance."""
+    return _trimmed(a.alphabet, a.tracks, a.initial, a.accepting, a.transitions)
 
 
 def _check_compatible(a: Automaton, b: Automaton):
@@ -394,7 +411,7 @@ def _product_and(a: Automaton, b: Automaton) -> Automaton:
     start = [(p, q) for p in a.initial for q in b.initial]
     seen = bld.explore(start, moves)
     accepting = [k for k in seen if k[0] in a.accepting and k[1] in b.accepting]
-    return trim(bld.build(start, accepting))
+    return bld.trimmed(start, accepting)
 
 
 def _union(a: Automaton, b: Automaton) -> Automaton:
@@ -447,7 +464,7 @@ def _minus(a: Automaton, b: Automaton) -> Automaton:
     start = [(p, q) for p in a.initial for q in det.initial]
     seen = bld.explore(start, moves)
     accepting = [(p, dq) for p, dq in seen if p in a.accepting and dq not in det.accepting]
-    return trim(bld.build(start, accepting))
+    return bld.trimmed(start, accepting)
 
 
 def _grouped(out: dict[int, dict[Label, set[int]]], subset) -> dict[Label, set[int]]:
@@ -579,7 +596,7 @@ def track_join(alphabet: Alphabet, tracks: int,
     seen = bld.explore(start, moves)
     accepting = [key for key in seen if all(q == _JOIN_DONE or q in c.accepting
                                             for q, (c, _) in zip(key[0], components))]
-    return trim(bld.build(start, accepting))
+    return bld.trimmed(start, accepting)
 
 
 def substitute_tracks(a: Automaton, sigma: tuple[int, ...], tracks: int,
@@ -618,41 +635,50 @@ def project(a: Automaton, position: int) -> Automaton:
         raise TrackMismatchError("cannot project a 0-track automaton")
     if not 1 <= position <= a.tracks:
         raise InputError(f"no track at position {position}")
-    src = _pad_filter(a)
+    bld, start, accepting = _pad_walk(a)
     pos = position - 1
-    rest = a.tracks - 1
-
-    def drop(label: Label) -> Label:
-        return label[:pos] + label[pos + 1:]
-
-    # states from which acceptance is reachable while every remaining track pads
+    # acceptance saturates back along moves where every remaining track pads
     tail: dict[int, set[int]] = {}
-    for s, lab, d in src.transitions:
-        if all(x == PAD for x in drop(lab)):
-            tail.setdefault(d, set()).add(s)
-    saturated = _closure(src.accepting, tail)
-
     edges = set()
-    for s, lab, d in src.transitions:
-        new = drop(lab)
+    for s, lab, d in bld.edges:
+        new = lab[:pos] + lab[pos + 1:]
         if any(x != PAD for x in new):
             edges.add((s, new, d))
-    return trim(
-        Automaton(rest, a.alphabet, src.states, src.initial, frozenset(saturated),
-                  frozenset(edges))
-    )
+        else:
+            tail.setdefault(d, set()).add(s)
+    saturated = _closure({bld.ids[k] for k in accepting}, tail)
+    return _trimmed(a.alphabet, a.tracks - 1, {bld.ids[k] for k in start}, saturated,
+                    edges)
 
 
-def _label_ranks(a: Automaton) -> dict[Label, int]:
+def _label_ranks(alphabet: Alphabet, edges) -> dict[Label, int]:
     """Each distinct label's place in sort order, keying every label once."""
-    labels = {lab for _, lab, _ in a.transitions}
-    return {lab: i for i, lab in enumerate(sorted(labels, key=a.alphabet.label_key))}
+    labels = {lab for _, lab, _ in edges}
+    return {lab: i for i, lab in enumerate(sorted(labels, key=alphabet.label_key))}
 
 
 def _sorted_transitions(a: Automaton) -> list[Transition]:
     """Transitions by source, label sort order, then target."""
-    rank = _label_ranks(a)
+    rank = _label_ranks(a.alphabet, a.transitions)
     return sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
+
+
+def _valid_subsets(a: Automaton) -> tuple[set[Transition], set[int]]:
+    """Edges and accepting states of ``determinize(_pad_filter(a))``, initial
+    state 0, with no automaton built: all states of one subset there carry
+    the pads of the last label, so keys here are (subset, those pads)."""
+    out = _out_map(a)
+
+    def moves(key):
+        subset, padded = key
+        for label, dsts in _grouped(out, subset).items():
+            pads = _pads(label)
+            if padded <= pads:  # a padded track may not resume
+                yield label, (frozenset(dsts), pads)
+
+    bld = _Builder(a.alphabet, a.tracks)
+    seen = bld.explore([(frozenset(a.initial), frozenset())], moves)
+    return bld.edges, {bld.ids[key] for key in seen if key[0] & a.accepting}
 
 
 def canonicalize(a: Automaton) -> Automaton:
@@ -665,21 +691,21 @@ def canonicalize(a: Automaton) -> Automaton:
     structurally identical results, so canonical forms can be compared
     or hashed directly.
     """
-    det = determinize(_pad_filter(a))
+    # the subset keys are gone once this returns: refinement needs none
+    edges, accepting = _valid_subsets(a)
     bwd: dict[int, set[int]] = {}
-    for s, _, d in det.transitions:
+    for s, _, d in edges:
         bwd.setdefault(d, set()).add(s)
     # every determinized state is reachable, so live = co-reachable
-    live = _closure(det.accepting, bwd)
-    start = next(iter(det.initial))
-    if start not in live:
+    live = _closure(accepting, bwd)
+    if 0 not in live:  # the initial state
         return Automaton(a.tracks, a.alphabet, 1, frozenset({0}), frozenset(),
                          frozenset(), deterministic=True)
 
-    rank = _label_ranks(det)
+    rank = _label_ranks(a.alphabet, edges)
     rows: dict[int, list[tuple[int, Label, int]]] = {q: [] for q in live}
     inv: dict[int, list[tuple[int, int]]] = {q: [] for q in live}
-    for s, lab, d in det.transitions:
+    for s, lab, d in edges:
         if s in live and d in live:
             rows[s].append((rank[lab], lab, d))
             inv[d].append((rank[lab], s))
@@ -687,7 +713,7 @@ def canonicalize(a: Automaton) -> Automaton:
     # Hopcroft refinement.  Edges into dead states lead to the implicit
     # sink block, which is never split and never a splitter; so, unlike
     # the total-DFA variant, both initial blocks start as splitters.
-    blocks = [blk for blk in (live & det.accepting, live - det.accepting) if blk]
+    blocks = [blk for blk in (live & accepting, live - accepting) if blk]
     part = {q: i for i, blk in enumerate(blocks) for q in blk}
     pending = list(range(len(blocks)))
     waiting = set(pending)
@@ -718,11 +744,11 @@ def canonicalize(a: Automaton) -> Automaton:
                 waiting.add(half)
 
     # BFS numbering from the initial block, labels in sort order
-    first = part[start]
+    first = part[0]
     bld = _Builder(a.alphabet, a.tracks)
     bld.explore([first], lambda blk: (
         (lab, part[d]) for _, lab, d in sorted(rows[next(iter(blocks[blk]))])))
-    return bld.build([first], {part[q] for q in live & det.accepting},
+    return bld.build([first], {part[q] for q in live & accepting},
                      deterministic=True)
 
 
@@ -740,8 +766,7 @@ def fingerprint(a: Automaton) -> tuple:
 
 def is_empty(a: Automaton) -> bool:
     """True iff no valid convolution is accepted."""
-    t = trim(_pad_filter(a))
-    return not (t.accepting and t.initial)
+    return not _pad_walk(a)[2]
 
 
 def equivalent(a: Automaton, b: Automaton) -> bool:
@@ -757,15 +782,11 @@ def is_empty_witness(a: Automaton) -> tuple[Word, ...] | None:
     Convolutions are compared by length first, then letter by letter in
     alphabet order with the pad sorting last.
     """
-    src = trim(_pad_filter(a))
-    if not (src.initial and src.accepting):
-        return None
-    if src.tracks == 0:
-        return ()
+    bld, start, accepting = _pad_walk(a)
+    src = bld.trimmed(start, accepting)
     out = _out_map(src)
     key = src.alphabet.label_key
-    heap = [(0, (), q, ()) for q in sorted(src.initial)]
-    heapq.heapify(heap)
+    heap = [(0, (), q, ()) for q in sorted(src.initial)]  # sorted: a heap already
     visited: set[int] = set()
     while heap:
         length, path_keys, q, path = heapq.heappop(heap)
@@ -777,24 +798,19 @@ def is_empty_witness(a: Automaton) -> tuple[Word, ...] | None:
         for label, dsts in out.get(q, {}).items():
             for d in dsts:
                 if d not in visited:
-                    heapq.heappush(
-                        heap,
-                        (length + 1, path_keys + (key(label),), d, path + (label,)),
-                    )
+                    heapq.heappush(heap, (length + 1, path_keys + (key(label),), d,
+                                          path + (label,)))
     return None
 
 
 def enumerate_upto(a: Automaton, max_length: int) -> list[tuple[Word, ...]]:
     """All accepted tuples whose convolution is at most ``max_length`` long,
     in length-lex order."""
-    src = trim(_pad_filter(a))
+    bld, start, accepting = _pad_walk(a)
+    src = bld.trimmed(start, accepting)
     found: list[tuple[Word, ...]] = []
-    if not src.initial:
-        return found
     if src.initial & src.accepting:
         found.append(deconvolve([], src.tracks))
-    if src.tracks == 0:
-        return found
     out = _out_map(src)
     key = src.alphabet.label_key
     level: list[tuple[tuple[Label, ...], frozenset[int]]] = [((), frozenset(src.initial))]
@@ -832,10 +848,7 @@ def concatenate(a: Automaton, b: Automaton) -> Automaton:
     initial = set(a.initial)
     if a.initial & a.accepting:
         initial |= b_initial
-    return trim(
-        Automaton(1, a.alphabet, a.states + b.states, frozenset(initial),
-                  frozenset(accepting), frozenset(edges))
-    )
+    return _trimmed(a.alphabet, 1, initial, accepting, edges)
 
 
 # --- regular expressions -------------------------------------------------
@@ -1006,7 +1019,7 @@ def regex_to_automaton(pattern: str, alphabet: Alphabet) -> Automaton:
     seen = bld.explore([init], lambda cur: (
         (label, closure(frozenset(dsts))) for label, dsts in _grouped(out, cur).items()))
     accepting = [qs for qs in seen if end in qs]
-    return trim(bld.build([init], accepting))
+    return bld.trimmed([init], accepting)
 
 
 # --- JSON wire format -----------------------------------------------------

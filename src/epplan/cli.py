@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,7 +212,7 @@ def _config_shape(tm: TmDescription, alphabet: fa.Alphabet,
         else:
             bld.edge(CLEAN, (t,), CLEAN)
             bld.edge(DIRTY, (t,), CLEAN)
-    return fa.trim(bld.build([L], [CLEAN]))
+    return bld.trimmed([L], [CLEAN])
 
 
 def _initial_configs(tm: TmDescription, alphabet: fa.Alphabet) -> fa.Automaton:
@@ -298,7 +299,7 @@ def _tm_step_relation(tm: TmDescription, alphabet: fa.Alphabet) -> fa.Automaton:
                 else:
                     # q  ->  q'
                     window([(q, q2)], tail=False, start=EDGE)
-    return fa.trim(bld.build([PRE, EDGE], accepting))
+    return bld.trimmed([PRE, EDGE], accepting)
 
 
 def build_tm_config_graph(tm: TmDescription
@@ -371,8 +372,12 @@ def _load_action(path: str, model: EpistemicModel) -> ActionModel:
 
 
 def _emit(obj: dict):
-    json.dump(obj, sys.stdout, ensure_ascii=False, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(obj, sys.stdout, ensure_ascii=False, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: send the rest, and the exit flush, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 _ANSWER_CODES = {"yes": 0, "no": 1, "unknown": 2, "true": 0, "false": 1}

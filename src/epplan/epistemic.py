@@ -406,7 +406,7 @@ def history_structure(model: EpistemicModel, events: tuple[str, ...],
     bld = fa._Builder(big, 1)
     spine = _spine(bld, [valid])
     accepting = list(spine) + _tail(bld, spine, (), domain, "d")
-    universe = fa.trim(bld.build([(_START,)], accepting))
+    universe = bld.trimmed([(_START,)], accepting)
 
     # two histories an agent cannot tell apart: same length, pairwise
     # related letters.  Here and for from^ every spine state accepts, so
@@ -435,7 +435,7 @@ def history_structure(model: EpistemicModel, events: tuple[str, ...],
             for gid, sources in enumerate(groups.values()):
                 rel = classes[member[sources[0][0]]][name]
                 accepting += _tail(bld, sources, (fa.PAD,), rel, ("p", gid))
-        relations[hat_name(name)] = fa.trim(bld.build([(_START,) * (arity + 1)], accepting))
+        relations[hat_name(name)] = bld.trimmed([(_START,) * (arity + 1)], accepting)
 
     # origin: histories beginning at one world
     for w in model.worlds:
@@ -447,7 +447,7 @@ def history_structure(model: EpistemicModel, events: tuple[str, ...],
     bld = fa._Builder(big, 2)
     spine = _spine(bld, [valid, valid])
     accepting = _tail(bld, spine, (fa.PAD,), domain, "d")
-    relations[DOM_NAME] = fa.trim(bld.build([(_START,) * 2], accepting))
+    relations[DOM_NAME] = bld.trimmed([(_START,) * 2], accepting)
 
     return AutomaticPresentation(hist_sig, big, universe, relations)
 

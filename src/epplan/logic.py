@@ -302,8 +302,13 @@ def _level(node: Formula) -> int:
 
 
 def format_formula(node: Formula) -> str:
+    check_nesting(classify(node))
+    return _format(node)
+
+
+def _format(node: Formula) -> str:
     def wrap(child: Formula, minimum: int) -> str:
-        text = format_formula(child)
+        text = _format(child)
         return f"({text})" if _level(child) < minimum else text
 
     if isinstance(node, Atom):
@@ -323,11 +328,11 @@ def format_formula(node: Formula) -> str:
     if isinstance(node, Iff):
         return f"{wrap(node.left, 1)} <-> {wrap(node.right, 0)}"
     if isinstance(node, Forall):
-        return f"forall {node.var}. {format_formula(node.body)}"
+        return f"forall {node.var}. {_format(node.body)}"
     if isinstance(node, Exists):
-        return f"exists {node.var}. {format_formula(node.body)}"
+        return f"exists {node.var}. {_format(node.body)}"
     if isinstance(node, Know):
-        return f"K[{node.agent}] {format_formula(node.body)}"
+        return f"K[{node.agent}] {_format(node.body)}"
     raise InputError(f"not a formula node: {node!r}")
 
 

@@ -160,7 +160,7 @@ class ClassAutomaton:
         for (cid, event), nxt in self.delta.items():
             bld.edge(("c", cid), (event,), ("c", nxt))
         finals = final_ids if final_ids is not None else frozenset(self.classes)
-        return fa.trim(bld.build([START], [("c", cid) for cid in finals]))
+        return bld.trimmed([START], [("c", cid) for cid in finals])
 
 
 @dataclass
@@ -266,9 +266,7 @@ def _history_letters_only(a: fa.Automaton, letters: tuple[str, ...]) -> fa.Autom
     languages contain histories only, so re-validation against the small
     alphabet fails loudly if a stray letter ever survives.
     """
-    t = fa.trim(a)
-    return fa.Automaton(1, fa.Alphabet(letters), t.states, t.initial,
-                        t.accepting, t.transitions, t.deterministic)
+    return fa._trimmed(fa.Alphabet(letters), 1, a.initial, a.accepting, a.transitions)
 
 
 def _class_satisfies(model: EpistemicModel, cls: InterpClass, goal: Formula) -> bool:
@@ -416,7 +414,7 @@ def _bfs_classes(model: EpistemicModel, world: str, action: ActionModel,
             break
         level = nxt
     return PlanResult("unknown", None, None, len(seen),
-                      {"visited_classes": len(seen), "levels": max_depth})
+                      {"visited_classes": len(seen), "levels": depth})
 
 
 def _bfs_modal(model: EpistemicModel, world: str, action: ActionModel,
@@ -453,4 +451,4 @@ def _bfs_modal(model: EpistemicModel, world: str, action: ActionModel,
             break
         level = nxt
     return PlanResult("unknown", None, None, None,
-                      {"visited_histories": visited, "levels": max_depth})
+                      {"visited_histories": visited, "levels": depth})

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import automata as fa
-from .errors import FragmentError, InfiniteDomainError, InputError, TrackMismatchError
+from .errors import (MAX_NESTING, FragmentError, InfiniteDomainError, InputError,
+                     TrackMismatchError)
 from .logic import (
     And,
     Atom,
@@ -237,8 +238,16 @@ def compile_formula(pres: AutomaticPresentation, node: Formula,
 
     Universal quantifiers go through double negation; every track of the
     result is restricted to domain words.
+
+    Compiling recurses per level, so nothing taller than the standard
+    translation of a ``MAX_NESTING``-level goal is taken: with two levels per
+    binder and ``K``, ``dom^`` conjuncts per atom argument and the planner's
+    one conjunction, 2 * MAX_NESTING + 1 + the largest arity.
     """
     info = validate_against(node, pres.signature)
+    limit = 2 * MAX_NESTING + 1 + max((k for _, k in pres.signature.predicates), default=0)
+    if info.height > limit:
+        raise InputError(f"formula nests deeper than {limit} levels")
     if len(set(scope)) != len(scope):
         raise InputError("scope variables must be distinct")
     missing = [v for v in info.free_vars if v not in scope]

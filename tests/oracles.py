@@ -4,17 +4,19 @@ Everything here is deliberately naive: explicit enumeration over small
 finite sets, hand-written membership predicates, direct simulation of
 machine steps.  Nothing routes through the package's automata algebra
 beyond the raw ``Automaton`` constructor, so agreement is meaningful.
-The one exception is ``product_track_join``, which numbers and trims its
-states with the package's builder so that results compare with ``==``.
+The exceptions are ``product_track_join`` and the staged constructions,
+which number their states with the package's builder and helpers so
+that results compare with ``==``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
 from epplan import automata as fa
-from epplan.errors import InputError
+from epplan.errors import InputError, TrackMismatchError
 from epplan.logic import (
     And,
     Atom,
@@ -246,6 +248,223 @@ def product_track_join(alphabet: fa.Alphabet, tracks: int,
     accepting = [key for key in seen if all(q == fa._JOIN_DONE or q in c.accepting
                                             for q, (c, _) in zip(key[0], components))]
     return fa.trim(bld.build(start, accepting))
+
+
+# --- staged constructions ------------------------------------------------------
+#
+# The package's constructions as they were when each one emitted an
+# intermediate automaton and trimmed it afterwards: canonical forms by
+# determinizing an emitted pad filter, projection, emptiness and witnesses
+# on a trimmed pad filter, and ``trim`` of a built automaton in place of
+# ``_Builder.trimmed``.  The one-walk constructions must agree with ``==``.
+
+def staged_pad_filter(a: fa.Automaton) -> fa.Automaton:
+    """``automata._pad_filter``: a walk on (state, tracks padded so far)
+    keys, emitted as an automaton."""
+    if a.tracks == 0:
+        return a
+    out = fa._out_map(a)
+
+    def moves(key):
+        q, padded = key
+        for label, dsts in out.get(q, {}).items():
+            pads = fa._pads(label)
+            if padded <= pads:  # a padded track may not resume
+                for dst in dsts:
+                    yield label, (dst, pads)
+
+    bld = fa._Builder(a.alphabet, a.tracks)
+    start = [(q, frozenset()) for q in a.initial]
+    seen = bld.explore(start, moves)
+    return bld.build(start, [key for key in seen if key[0] in a.accepting])
+
+
+def staged_trim(a: fa.Automaton) -> fa.Automaton:
+    """``automata.trim``: reachable and co-reachable states, renumbered in
+    sorted order."""
+    fwd: dict[int, set[int]] = {}
+    bwd: dict[int, set[int]] = {}
+    for src, _, dst in a.transitions:
+        fwd.setdefault(src, set()).add(dst)
+        bwd.setdefault(dst, set()).add(src)
+    reach = fa._closure(a.initial, fwd)
+    co = fa._closure(a.accepting, bwd)
+    alive = sorted(reach & co)
+    if not alive:
+        return fa.empty_automaton(a.alphabet, a.tracks)
+    ids = {q: i for i, q in enumerate(alive)}
+    return fa.Automaton(
+        a.tracks,
+        a.alphabet,
+        len(alive),
+        frozenset(ids[q] for q in a.initial if q in ids),
+        frozenset(ids[q] for q in a.accepting if q in ids),
+        frozenset(
+            (ids[s], lab, ids[d]) for s, lab, d in a.transitions if s in ids and d in ids
+        ),
+    )
+
+
+def staged_project(a: fa.Automaton, position: int) -> fa.Automaton:
+    """``automata.project`` on the emitted pad filter, with its own trim."""
+    if a.tracks < 1:
+        raise TrackMismatchError("cannot project a 0-track automaton")
+    if not 1 <= position <= a.tracks:
+        raise InputError(f"no track at position {position}")
+    src = staged_pad_filter(a)
+    pos = position - 1
+    rest = a.tracks - 1
+
+    def drop(label: Word) -> Word:
+        return label[:pos] + label[pos + 1:]
+
+    # states from which acceptance is reachable while every remaining track pads
+    tail: dict[int, set[int]] = {}
+    for s, lab, d in src.transitions:
+        if all(x == fa.PAD for x in drop(lab)):
+            tail.setdefault(d, set()).add(s)
+    saturated = fa._closure(src.accepting, tail)
+
+    edges = set()
+    for s, lab, d in src.transitions:
+        new = drop(lab)
+        if any(x != fa.PAD for x in new):
+            edges.add((s, new, d))
+    return staged_trim(
+        fa.Automaton(rest, a.alphabet, src.states, src.initial, frozenset(saturated),
+                     frozenset(edges))
+    )
+
+
+def staged_canonicalize(a: fa.Automaton) -> fa.Automaton:
+    """``automata.canonicalize``: Hopcroft refinement of
+    ``determinize(_pad_filter(a))``, BFS-numbered with labels in sort order."""
+    det = fa.determinize(staged_pad_filter(a))
+    bwd: dict[int, set[int]] = {}
+    for s, _, d in det.transitions:
+        bwd.setdefault(d, set()).add(s)
+    # every determinized state is reachable, so live = co-reachable
+    live = fa._closure(det.accepting, bwd)
+    start = next(iter(det.initial))
+    if start not in live:
+        return fa.Automaton(a.tracks, a.alphabet, 1, frozenset({0}), frozenset(),
+                            frozenset(), deterministic=True)
+
+    rank = {lab: i for i, lab in enumerate(sorted({lab for _, lab, _ in det.transitions},
+                                                    key=det.alphabet.label_key))}
+    rows: dict[int, list[tuple[int, Word, int]]] = {q: [] for q in live}
+    inv: dict[int, list[tuple[int, int]]] = {q: [] for q in live}
+    for s, lab, d in det.transitions:
+        if s in live and d in live:
+            rows[s].append((rank[lab], lab, d))
+            inv[d].append((rank[lab], s))
+
+    # Hopcroft refinement.  Edges into dead states lead to the implicit
+    # sink block, which is never split and never a splitter; so, unlike
+    # the total-DFA variant, both initial blocks start as splitters.
+    blocks = [blk for blk in (live & det.accepting, live - det.accepting) if blk]
+    part = {q: i for i, blk in enumerate(blocks) for q in blk}
+    pending = list(range(len(blocks)))
+    waiting = set(pending)
+    while pending:
+        splitter = pending.pop()
+        waiting.discard(splitter)
+        preds: dict[int, list[int]] = {}
+        for q in blocks[splitter]:
+            for lab, p in inv[q]:
+                preds.setdefault(lab, []).append(p)
+        for sources in preds.values():
+            hit: dict[int, list[int]] = {}
+            for p in sources:
+                hit.setdefault(part[p], []).append(p)
+            for b, moved in hit.items():
+                if len(moved) == len(blocks[b]):
+                    continue
+                new = len(blocks)
+                blocks[b].difference_update(moved)
+                blocks.append(set(moved))
+                for p in moved:
+                    part[p] = new
+                # a waiting b now waits as both halves; once blocks are
+                # stable against the old b, stability against one half
+                # gives it against the other, so the smaller one will do
+                half = new if b in waiting or len(moved) < len(blocks[b]) else b
+                pending.append(half)
+                waiting.add(half)
+
+    # BFS numbering from the initial block, labels in sort order
+    first = part[start]
+    bld = fa._Builder(a.alphabet, a.tracks)
+    bld.explore([first], lambda blk: (
+        (lab, part[d]) for _, lab, d in sorted(rows[next(iter(blocks[blk]))])))
+    return bld.build([first], {part[q] for q in live & det.accepting},
+                     deterministic=True)
+
+
+def staged_is_empty(a: fa.Automaton) -> bool:
+    """``automata.is_empty``: the trimmed pad filter has no accepting state."""
+    t = staged_trim(staged_pad_filter(a))
+    return not (t.accepting and t.initial)
+
+
+def staged_is_empty_witness(a: fa.Automaton) -> tuple[Word, ...] | None:
+    """``automata.is_empty_witness``: Dijkstra in length-lex order over the
+    trimmed pad filter."""
+    src = staged_trim(staged_pad_filter(a))
+    if not (src.initial and src.accepting):
+        return None
+    if src.tracks == 0:
+        return ()
+    out = fa._out_map(src)
+    key = src.alphabet.label_key
+    heap = [(0, (), q, ()) for q in sorted(src.initial)]
+    heapq.heapify(heap)
+    visited: set[int] = set()
+    while heap:
+        length, path_keys, q, path = heapq.heappop(heap)
+        if q in visited:
+            continue
+        visited.add(q)
+        if q in src.accepting:
+            return fa.deconvolve(list(path), src.tracks)
+        for label, dsts in out.get(q, {}).items():
+            for d in dsts:
+                if d not in visited:
+                    heapq.heappush(
+                        heap,
+                        (length + 1, path_keys + (key(label),), d, path + (label,)),
+                    )
+    return None
+
+
+def staged_enumerate_upto(a: fa.Automaton, max_length: int) -> list[tuple[Word, ...]]:
+    """``automata.enumerate_upto``: every path up to ``max_length`` over the
+    trimmed pad filter, in length-lex order."""
+    src = staged_trim(staged_pad_filter(a))
+    found: list[tuple[Word, ...]] = []
+    if not src.initial:
+        return found
+    if src.initial & src.accepting:
+        found.append(fa.deconvolve([], src.tracks))
+    if src.tracks == 0:
+        return found
+    out = fa._out_map(src)
+    key = src.alphabet.label_key
+    level: list[tuple[tuple[Word, ...], frozenset[int]]] = [
+        ((), frozenset(src.initial))]
+    for _ in range(max_length):
+        nxt: list[tuple[tuple[Word, ...], frozenset[int]]] = []
+        for path, states in level:
+            moves = fa._grouped(out, states)
+            for label in sorted(moves, key=key):
+                reached = frozenset(moves[label])
+                nxt.append((path + (label,), reached))
+                if reached & src.accepting:
+                    found.append(fa.deconvolve(list(path + (label,)), src.tracks))
+        level = nxt
+        if not level:
+            break
+    return found
 
 
 # --- naive semantics over explicit structures --------------------------------

@@ -241,6 +241,43 @@ def test_hopcroft_matches_moore_reference():
     assert min(seen.values()) >= 20, seen
 
 
+def builder_of(auto: fa.Automaton) -> fa._Builder:
+    """A builder holding ``auto``'s states and edges under their own numbers."""
+    bld = fa._Builder(auto.alphabet, auto.tracks)
+    for q in range(auto.states):
+        bld.state(q)
+    for s, lab, d in auto.transitions:
+        bld.edge(s, lab, d)
+    return bld
+
+
+def test_one_walk_constructions_match_the_staged_ones():
+    rng = random.Random(1414)
+    seen = {"invalid": 0, "empty": 0, "epsilon": 0, "dead": 0}
+    for case in range(240):
+        auto = oc.random_nfa(rng, tracks=1 + case % 3)
+        canon = fa.canonicalize(auto)
+        assert canon == oc.staged_canonicalize(auto)
+        for pos in range(1, auto.tracks + 1):
+            assert fa.project(auto, pos) == oc.staged_project(auto, pos)
+        assert fa.is_empty(auto) == oc.staged_is_empty(auto)
+        assert fa.is_empty_witness(auto) == oc.staged_is_empty_witness(auto)
+        assert fa.enumerate_upto(auto, 3) == oc.staged_enumerate_upto(auto, 3)
+        assert fa._pad_filter(auto) == oc.staged_pad_filter(auto)
+        assert fa.trim(auto) == oc.staged_trim(auto)
+        bld = builder_of(auto)
+        assert (bld.trimmed(auto.initial, auto.accepting)
+                == oc.staged_trim(bld.build(auto.initial, auto.accepting)))
+        # raw strings that are not valid convolutions, as ``validate`` finds them
+        seen["invalid"] += bool(fa.boolean_combine(auto, fa._pad_filter(auto),
+                                                   "minus").accepting)
+        seen["empty"] += not canon.accepting
+        seen["epsilon"] += 0 in canon.accepting
+        seen["dead"] += fa.trim(auto).states < auto.states
+    # every shape the one-walk constructions must handle occurs many times
+    assert min(seen.values()) >= 20, seen
+
+
 # --- track surgery ----------------------------------------------------------------
 
 def test_substitute_tracks_swap_and_diagonal():
@@ -433,6 +470,9 @@ CAPPED_CONSTRUCTIONS = {
     "substitute_tracks": lambda: lambda: fa.substitute_tracks(CHAIN, (1,), 2, CHAIN),
     "regex_to_automaton": lambda: lambda: fa.regex_to_automaton("a·b·a·b", AB),
     "canonicalize": lambda: lambda: fa.canonicalize(CHAIN),
+    "project": lambda: lambda: fa.project(CHAIN, 1),
+    "is_empty": lambda: lambda: fa.is_empty(CHAIN),
+    "is_empty_witness": lambda: lambda: fa.is_empty_witness(CHAIN),
     "history_presentation": _history_presentation_case,
 }
 

@@ -343,3 +343,17 @@ def test_python_dash_m_epplan_runs_the_cli_without_warnings():
     assert done.returncode == 1
     assert json.loads(done.stdout)["answer"] == "no"
     assert done.stderr == ""
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    src = Path(epplan.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epplan", "demo", "lang", "--generators", "a*,b*",
+         "--target", "a*·b"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # as `| head -0` would: every write now finds no reader
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1  # the command's own exit code: "no"
+    assert "Traceback" not in err and err == ""

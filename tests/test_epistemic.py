@@ -23,7 +23,7 @@ from epplan.epistemic import (
     model_to_json,
     product_update,
 )
-from epplan.logic import Not, Signature, parse_formula
+from epplan.logic import Know, Not, Signature, classify, parse_formula
 from epplan.planner import bfs_plan, decide_plan
 from epplan.presentation import validate
 
@@ -245,6 +245,21 @@ def test_formulas_nested_past_the_bound_are_refused():
     assert eval_foel(model, "u", phi) is False
     assert decide_plan(model, "u", flip_or_wait(), phi).answer == "no"
     assert bfs_plan(model, "u", flip_or_wait(), phi, 2).answer == "unknown"
+
+
+def test_a_knowledge_chain_at_the_bound_compiles():
+    # its standard translation is twice as tall: compiling still takes it
+    model = coin_model()
+    phi = parse_formula("exists x. P(x)", SIG)
+    for _ in range(MAX_NESTING - 1):
+        phi = Know("i", phi)
+    assert classify(phi).height == MAX_NESTING
+    assert eval_foel(model, "u", phi) is False  # i cannot rule out v
+    # after a flip, v is gone from i's view: both planners find it
+    assert decide_plan(model, "u", flip_or_wait(), phi).plan == ("flip",)
+    assert bfs_plan(model, "u", flip_or_wait(), phi, 2).plan == ("flip",)
+    with pytest.raises(InputError, match=f"nests deeper than {MAX_NESTING} levels"):
+        eval_foel(model, "u", Know("i", phi))
 
 
 def test_eval_foel_agrees_with_naive_evaluation():

@@ -329,6 +329,23 @@ def test_bfs_plan_cannot_prove_absence():
     assert result.answer == "unknown"
 
 
+def test_bfs_plan_reports_the_depth_where_its_frontier_closes():
+    from epplan.cli import build_language_demo
+    model, action, goal = build_language_demo(["a*", "b*"], "a*·b")
+    closed = bfs_plan(model, "s", action, goal, max_depth=10)
+    assert closed.answer == "unknown"
+    assert closed.stats == {"visited_classes": 12, "levels": 4}
+    # one level short of closing, the bound is the depth reached
+    cut = bfs_plan(model, "s", action, goal, max_depth=3)
+    assert cut.stats["levels"] == 3 and cut.stats["visited_classes"] < 12
+    # the modal walk likewise: one event that can happen once
+    once = ActionModel(events=("clear",), access={"i": frozenset({("clear", "clear")})},
+                       pre={"clear": parse_formula("exists x. P(x)", SIG)},
+                       post={"clear": {"P": parse_formula("false", SIG)}})
+    modal = bfs_plan(coin_model(), "u", once, parse_formula("K[i] false", SIG), 5)
+    assert modal.stats == {"visited_histories": 2, "levels": 1}
+
+
 def test_bfs_plan_handles_native_events(flang_concat):
     model, action, goal = flang_concat
     result = bfs_plan(model, "s", action, goal, max_depth=5)

@@ -7,7 +7,8 @@ import pytest
 import oracles as oc
 from epplan import automata as fa
 from epplan.errors import MAX_NESTING, FragmentError, InfiniteDomainError, InputError
-from epplan.logic import And, Atom, Forall, Implies, Not, Or, Signature, parse_formula
+from epplan.logic import (And, Atom, Forall, Implies, Not, Or, Signature, format_formula,
+                          parse_formula)
 from epplan.presentation import (
     AutomaticPresentation,
     brute_force_check,
@@ -89,6 +90,19 @@ def test_sentences_nested_past_the_bound_are_refused():
     for check in (check_sentence, brute_force_check):
         with pytest.raises(InputError, match=f"nests deeper than {MAX_NESTING} levels"):
             check(pres, phi)
+
+
+def test_compiling_and_printing_refuse_formulas_nested_past_the_bound():
+    pres = small_presentation()
+    phi = parse_formula("exists x. P(x)", pres.signature)
+    for _ in range(5000):
+        phi = Not(phi)
+    with pytest.raises(InputError, match="nests deeper than 203 levels"):
+        compile_formula(pres, phi, ())
+    with pytest.raises(InputError, match="nests deeper than 203 levels"):
+        defined_relation(pres, phi, ())
+    with pytest.raises(InputError, match=f"nests deeper than {MAX_NESTING} levels"):
+        format_formula(phi)
 
 
 def test_validate_passes_a_clean_presentation():
